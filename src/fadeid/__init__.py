@@ -11,7 +11,7 @@ from .fracpoly import (
     rl_derivative,
     rl_alpha_sensitivity,
 )
-from .modfun import ModulatingFamily, GridEval, build_family, evaluate_on_grid
+from .modfun import ModulatingFamily, DataMoments, build_family
 from .synthdata import (
     TrueModel,
     MeasurementSet,
@@ -27,13 +27,12 @@ from .estimator import (
     EstimateResult,
     RankDeficientError,
     GradientDegenerateError,
+    Linearization,
     trapezoid,
+    measurement_moments,
     assemble_theorem1,
     solve_2col_least_squares,
-    assemble_prop1,
-    solve_derivative_system,
-    residual_K_U,
-    gradient_Kprime,
+    linearize,
     estimate_two_param,
     newton_estimate,
 )

@@ -5,8 +5,7 @@ and integrated over [0, L1], into an N x 2 linear system whose
 least-squares solution gives (nu, d) at a fixed fractional order alpha.
 Stage 2 is a Gauss-Newton iteration on alpha alone: the residual vector
 K(alpha) - U of the Stage-1 system is driven to zero using an analytic
-gradient built from the alpha-sensitivity of the fractional derivatives
-of the modulating functions.
+gradient built from the alpha-derivative G of the fractional column.
 
 Sign conventions (used consistently everywhere):
 
@@ -19,6 +18,12 @@ advection term flips the sign once through the boundary terms and once
 through the chain rule, so the velocity enters with a plus against this
 A_n).  Hence  K_n = nu*A_n + d*B_n  and K - U is exactly the row residual
 at the fitted (nu, d).
+
+Only B and G depend on alpha.  The measurements are reduced once per
+estimate to a :class:`~fadeid.modfun.DataMoments` (A, C and the alpha-free
+moment block); every Newton iterate then costs one small matrix product
+for (B, G) and one SVD of [A B], which solves both the Stage-1 system and
+the derivative system of Proposition 1 (same matrix, right-hand side -d*G).
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modfun import ModulatingFamily, GridEval, build_family, evaluate_on_grid
+from .modfun import DataMoments, ModulatingFamily, build_family
 from .synthdata import MeasurementSet, restrict
 
 
@@ -46,14 +51,19 @@ class LinearSystem:
     B_col: np.ndarray
     C_col: np.ndarray
     cond_estimate: float
+    #: dB/dalpha, needed by Stage 2 only
+    G_col: np.ndarray | None = None
 
     def __post_init__(self):
         n = len(self.A_col)
         if n < 2:
             raise ValueError("system needs at least 2 rows")
-        if len(self.B_col) != n or len(self.C_col) != n:
+        cols = [self.A_col, self.B_col, self.C_col]
+        if self.G_col is not None:
+            cols.append(self.G_col)
+        if any(len(col) != n for col in cols):
             raise ValueError("column length mismatch")
-        for col in (self.A_col, self.B_col, self.C_col):
+        for col in cols:
             if not np.all(np.isfinite(col)):
                 raise ValueError("non-finite system entry")
 
@@ -63,6 +73,17 @@ class IterationRecord(NamedTuple):
     residual: float
     nu: float
     d: float
+
+
+class Linearization(NamedTuple):
+    """Stage-1 fit at one alpha and its first-order change in alpha."""
+
+    nu: float
+    d: float
+    dnu: float      # dnu/dalpha
+    dd: float       # dd/dalpha
+    K: np.ndarray   # nu*A + d*B
+    Kp: np.ndarray  # dK/dalpha
 
 
 @dataclass
@@ -118,11 +139,15 @@ def trapezoid(values: np.ndarray, dx: float) -> float:
     return float(dx * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
-def _check_aligned(ms: MeasurementSet, ge: GridEval, alpha: float) -> None:
-    if len(ms.x) != len(ge.x) or not np.allclose(ms.x, ge.x, rtol=0, atol=1e-12):
-        raise ValueError("measurement grid does not match evaluation grid")
-    if ge.alpha != alpha:
-        raise ValueError(f"grid evaluation built at alpha={ge.alpha}, not {alpha}")
+def measurement_moments(ms: MeasurementSet, fam: ModulatingFamily) -> DataMoments:
+    """The family's moments against the measured (noisy) channels; ``ms``
+    must already be restricted to [0, fam.L1]."""
+    return DataMoments(fam, ms.x, ms.c_noisy, ms.dcdt_noisy - ms.r)
+
+
+def _moments(ms: MeasurementSet, config: EstimatorConfig) -> DataMoments:
+    msr = restrict(ms, config.L1)
+    return measurement_moments(msr, build_family(config.N, config.b, float(msr.x[-1])))
 
 
 def _cond_2col(A_col: np.ndarray, B_col: np.ndarray) -> float:
@@ -130,130 +155,67 @@ def _cond_2col(A_col: np.ndarray, B_col: np.ndarray) -> float:
     return float(s[0] / s[1]) if s[1] > 0 else np.inf
 
 
-def assemble_theorem1(
-    ms: MeasurementSet, fam: ModulatingFamily, ge: GridEval, alpha: float
-) -> LinearSystem:
-    """Build the Stage-1 N x 2 system from measured (noisy) channels."""
-    _check_aligned(ms, ge, alpha)
-    dx = ge.dx
-    c = ms.c_noisy
-    c_rev = c[::-1]
-    rhs_w = ms.dcdt_noisy - ms.r
-    A = np.array([trapezoid(-row[::-1] * c, dx) for row in ge.dphi_dx])
-    B = np.array([trapezoid(row * c_rev, dx) for row in ge.dalpha_phi])
-    C = np.array([trapezoid(row[::-1] * rhs_w, dx) for row in ge.phi])
-    return LinearSystem(A, B, C, _cond_2col(A, B))
+def assemble_theorem1(mom: DataMoments, alpha: float) -> LinearSystem:
+    """The Stage-1 N x 2 system at order alpha, with G = dB/dalpha attached."""
+    B, G = mom.fractional_columns(alpha)
+    return LinearSystem(mom.A, B, mom.C, _cond_2col(mom.A, B), G)
 
 
-def _lstsq_2col(
-    A_col: np.ndarray, B_col: np.ndarray, rhs: np.ndarray
-) -> tuple[float, float, float]:
-    mat = np.column_stack([A_col, B_col])
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+def solve_2col_least_squares(sys: LinearSystem, rhs: np.ndarray | None = None):
+    """Least-squares (nu, d, cond) of the rows nu*A_n + d*B_n = C_n.
+
+    ``rhs`` replaces C.  A 2-D ``rhs`` holds several right-hand sides as
+    columns, all solved with the one SVD; nu and d are then arrays with one
+    entry per column.
+    """
+    u, s, vt = np.linalg.svd(np.column_stack([sys.A_col, sys.B_col]), full_matrices=False)
     if s[1] <= 1e-12 * s[0]:
         raise RankDeficientError(
             f"system numerically rank-deficient (singular values {s[0]:.3e}, {s[1]:.3e})"
         )
-    x = vt.T @ ((u.T @ rhs) / s)
-    return float(x[0]), float(x[1]), float(s[0] / s[1])
+    coef = u.T @ (sys.C_col if rhs is None else rhs)
+    x = vt.T @ (coef.T / s).T  # divides row i of coef by s[i], for 1-D or 2-D coef
+    return x[0], x[1], float(s[0] / s[1])
 
 
-def solve_2col_least_squares(sys: LinearSystem) -> tuple[float, float, float]:
-    """Least-squares (nu, d) from the Stage-1 system; unknown vector is (nu, d)."""
-    x0, x1, cond = _lstsq_2col(sys.A_col, sys.B_col, sys.C_col)
-    return x0, x1, cond
+def linearize(sys: LinearSystem) -> Linearization:
+    """Stage-1 fit and its alpha-derivative from one SVD of [A B].
 
-
-def assemble_prop1(
-    ms: MeasurementSet,
-    fam: ModulatingFamily,
-    ge: GridEval,
-    alpha: float,
-    d_of_alpha: float,
-) -> LinearSystem:
-    """System for the alpha-derivatives of the Stage-1 estimates.
-
-    The matrix columns are the Stage-1 integrals with roles swapped
-    (A_hat = B, B_hat = A); only the right-hand side is new.  Unknown
-    vector is (dd/dalpha, dnu/dalpha), from differentiating the Stage-1
-    rows nu*A_n + d*B_n = C_n in alpha (A_n and C_n are alpha-free).
+    Differentiating the rows nu*A_n + d*B_n = C_n in alpha (A and C are
+    alpha-free) gives [A B] (dnu, dd) = -d*G, solved in the least-squares
+    sense with the Stage-1 matrix (Proposition 1); then
+    K' = dnu*A + dd*B + d*G.
     """
-    _check_aligned(ms, ge, alpha)
-    dx = ge.dx
-    c = ms.c_noisy
-    c_rev = c[::-1]
-    A_hat = np.array([trapezoid(row * c_rev, dx) for row in ge.dalpha_phi])
-    B_hat = np.array([trapezoid(-row[::-1] * c, dx) for row in ge.dphi_dx])
-    C_hat = -d_of_alpha * np.array(
-        [trapezoid(row * c_rev, dx) for row in ge.dalpha_dalpha_phi]
+    (nu, p), (d, q), _ = solve_2col_least_squares(
+        sys, np.column_stack([sys.C_col, sys.G_col])
     )
-    return LinearSystem(A_hat, B_hat, C_hat, _cond_2col(A_hat, B_hat))
-
-
-def solve_derivative_system(sys: LinearSystem) -> tuple[float, float, float]:
-    """Least-squares (dnu/dalpha, dd/dalpha) from the derivative system."""
-    x0, x1, cond = _lstsq_2col(sys.A_col, sys.B_col, sys.C_col)
-    return x1, x0, cond
-
-
-def residual_K_U(
-    ms: MeasurementSet,
-    fam: ModulatingFamily,
-    ge: GridEval,
-    alpha: float,
-    nu_of_alpha: float,
-    d_of_alpha: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-modulating-function K(alpha) and U with K - U the row residual."""
-    sys = assemble_theorem1(ms, fam, ge, alpha)
-    return _K_U(sys, nu_of_alpha, d_of_alpha)
-
-
-def _K_U(sys: LinearSystem, nu: float, d: float) -> tuple[np.ndarray, np.ndarray]:
-    return nu * sys.A_col + d * sys.B_col, sys.C_col.copy()
-
-
-def gradient_Kprime(
-    ms: MeasurementSet,
-    fam: ModulatingFamily,
-    ge: GridEval,
-    alpha: float,
-    nu: float,
-    d: float,
-    dnu_dalpha: float,
-    dd_dalpha: float,
-) -> np.ndarray:
-    """Analytic gradient of K(alpha), one entry per modulating function."""
-    sys = assemble_theorem1(ms, fam, ge, alpha)
-    c_rev = ms.c_noisy[::-1]
-    G = np.array([trapezoid(row * c_rev, ge.dx) for row in ge.dalpha_dalpha_phi])
-    return dnu_dalpha * sys.A_col + dd_dalpha * sys.B_col + d * G
+    nu, d, dnu, dd = float(nu), float(d), -float(d * p), -float(d * q)
+    K = nu * sys.A_col + d * sys.B_col
+    Kp = dnu * sys.A_col + dd * sys.B_col + d * sys.G_col
+    return Linearization(nu, d, dnu, dd, K, Kp)
 
 
 def estimate_two_param(
     ms: MeasurementSet, config: EstimatorConfig, alpha: float
 ) -> tuple[float, float, float]:
     """Stage 1 alone: (nu, d, cond) at a known fractional order."""
-    msr = restrict(ms, config.L1)
-    fam = build_family(config.N, config.b, float(msr.x[-1]))
-    ge = evaluate_on_grid(fam, alpha, len(msr.x))
-    return solve_2col_least_squares(assemble_theorem1(msr, fam, ge, alpha))
+    nu, d, cond = solve_2col_least_squares(assemble_theorem1(_moments(ms, config), alpha))
+    return float(nu), float(d), cond
 
 
 def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResult:
     """Full two-stage iteration for (nu, d, alpha).
 
-    Each iterate rebuilds the grid evaluation at the current alpha, solves
-    Stage 1, then takes a clamped scalar Gauss-Newton step
+    The moments of the restricted measurements are built once; each iterate
+    assembles B and G at the current alpha, solves Stage 1 and its
+    derivative system, then takes a clamped scalar Gauss-Newton step
     dalpha = <K', U - K> / <K', K'> projected into (1 + 1e-6, 2].  Stops
     when J = ||K - U||^2 falls below epsilon, when the alpha step
     stagnates below alpha_tol (stationary point; the noise floor keeps J
     above any tiny epsilon on noisy data), or at max_iter (flagged
     not converged, best iterate returned).
     """
-    msr = restrict(ms, config.L1)
-    M = len(msr.x)
-    fam = build_family(config.N, config.b, float(msr.x[-1]))
+    mom = _moments(ms, config)
 
     alpha = float(config.alpha0)
     eps = config.epsilon
@@ -263,15 +225,14 @@ def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResu
     converged = False
 
     for k in range(config.max_iter + 1):
-        ge = evaluate_on_grid(fam, alpha, M)
-        sys1 = assemble_theorem1(msr, fam, ge, alpha)
-        nu, d, cond = solve_2col_least_squares(sys1)
-        K, U = _K_U(sys1, nu, d)
-        J = float(np.sum((K - U) ** 2))
-        rec = IterationRecord(alpha, J, nu, d)
+        sys1 = assemble_theorem1(mom, alpha)
+        lin = linearize(sys1)
+        U = sys1.C_col
+        J = float(np.sum((lin.K - U) ** 2))
+        rec = IterationRecord(alpha, J, lin.nu, lin.d)
         history.append(rec)
         if best is None or J < best[0]:
-            best = (J, rec, cond)
+            best = (J, rec, sys1.cond_estimate)
         if eps is None:
             eps = 1e-10 * float(np.sum(U**2))
         if J < eps:
@@ -281,16 +242,12 @@ def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResu
             message = f"max_iter={config.max_iter} reached"
             break
 
-        sysp = assemble_prop1(msr, fam, ge, alpha, d)
-        dnu_da, dd_da, _ = solve_derivative_system(sysp)
-        G = -sysp.C_col / d if d != 0 else np.zeros_like(sysp.C_col)
-        Kp = dnu_da * sys1.A_col + dd_da * sys1.B_col + d * G
-        denom = float(Kp @ Kp)
+        denom = float(lin.Kp @ lin.Kp)
         if denom < 1e-30:
             raise GradientDegenerateError(
                 f"<K', K'> = {denom:.3e} at alpha={alpha}; cannot update"
             )
-        step = float(Kp @ (U - K)) / denom
+        step = float(lin.Kp @ (U - lin.K)) / denom
         step = float(np.clip(step, -config.step_clamp, config.step_clamp))
         new_alpha = float(np.clip(alpha + step, 1.0 + 1e-6, 2.0))
         if abs(new_alpha - alpha) < config.alpha_tol:

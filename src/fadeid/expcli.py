@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace, field
@@ -137,7 +138,7 @@ def run(spec: ExperimentSpec, workers: int | None = None, quiet: bool = False) -
         )
     ]
     if workers is None:
-        workers = 1 if len(cells) < 4 else 8
+        workers = 1 if len(cells) < 4 else len(os.sched_getaffinity(0))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells, chunksize=1))
@@ -340,7 +341,8 @@ def main(argv=None) -> int:
     p_sw.add_argument("--out", help="output directory (overrides spec)")
     p_sw.add_argument("--seed", type=int, default=0, help="offset added to every spec seed")
     p_sw.add_argument("--workers", type=int, default=None,
-                      help="parallel worker cap (default: 8, or serial for tiny sweeps)")
+                      help="parallel worker cap (default: the CPUs this process may run on, "
+                      "or serial for tiny sweeps)")
     p_sw.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
     p_sw.set_defaults(func=_cmd_sweep)
 

@@ -1,10 +1,33 @@
-"""Polynomial modulating-function families and their grid evaluations.
+"""Polynomial modulating-function families and their moments against data.
 
 The family on [0, L1] is phi_n(x) = x^(N+b+1-n) * (L1-x)^(b+n) for
 n = 1..N.  Every member and its first derivative vanish at both endpoints
 (with margin: the vanishing orders are N+b+1-n >= b+2 at 0 and b+n >= b+1
-at L1), and the minimal monomial power exceeds 2, so fractional derivatives
-of order up to 2 and their order-sensitivities are regular on [0, L1].
+at L1), and the minimal monomial power b+1 exceeds 2, so fractional
+derivatives of order up to 2 and their order-sensitivities are regular on
+[0, L1] and vanish at 0.
+
+:class:`DataMoments` integrates a family against samples on a uniform grid
+by the trapezoid rule (weights w_j), on one thread: the products here are
+too small to gain from a threaded BLAS, and its threads oversubscribe the
+CPUs when sweep cells run in a process pool.  The columns free of alpha,
+
+    A_n = integral of -phi_n'(L1-x) c(x) dx,  C_n = integral of phi_n(L1-x) rhs(x) dx,
+
+are integrated once from the factored forms.  The fractional column
+
+    B_n(alpha) = integral of D^alpha phi_n(x) c(L1-x) dx
+
+and its order-derivative G_n = dB_n/dalpha follow from the power rule
+D^alpha x^k = g_k x^(k-alpha), g_k = Gamma(k+1)/Gamma(k+1-alpha), with
+dg_k/dalpha = g_k psi(k+1-alpha).  Writing phi_n = sum_k P[n, k] x^k and
+
+    m_k = sum_j w_j x_j^(k-alpha) c(L1-x_j),   l_k = the same with a ln(x_j) factor,
+
+gives B = P (g m) and G = P (g (psi m - l)).  The alpha-free block
+V[k, j] = w_j x_j^k c(L1-x_j) is stored once, so each alpha costs one
+(K x M) @ (M x 2) product.  The x = 0 sample is left out of V: every
+k - alpha > 0, so both integrands vanish there.
 """
 
 from __future__ import annotations
@@ -12,8 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
-from .fracpoly import Polynomial, rl_derivative, rl_alpha_sensitivity
+from .fracpoly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -28,22 +52,6 @@ class ModulatingFamily:
     @property
     def degree(self) -> int:
         return self.n_funcs + 2 * self.b + 1
-
-
-@dataclass(frozen=True)
-class GridEval:
-    """Samples of each family member and its derivatives on a uniform grid."""
-
-    x: np.ndarray
-    alpha: float
-    phi: np.ndarray                # (N, M)
-    dphi_dx: np.ndarray            # (N, M)
-    dalpha_phi: np.ndarray         # (N, M), D^alpha phi_n
-    dalpha_dalpha_phi: np.ndarray  # (N, M), d/dalpha of D^alpha phi_n
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
 
 
 def build_family(N: int, b: int, L1: float) -> ModulatingFamily:
@@ -65,26 +73,49 @@ def build_family(N: int, b: int, L1: float) -> ModulatingFamily:
     return ModulatingFamily(N, b, L1, tuple(members), tuple(powers))
 
 
-def evaluate_on_grid(fam: ModulatingFamily, alpha: float, M: int) -> GridEval:
-    """Sample phi_n, phi_n', D^alpha phi_n and its alpha-sensitivity at
-    x_j = j * L1/(M-1), j = 0..M-1."""
-    if M < 3:
-        raise ValueError(f"grid needs at least 3 points, got M={M}")
-    alpha = float(alpha)
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"alpha must be in (1, 2], got {alpha}")
-    x = np.linspace(0.0, fam.L1, M)
-    L1 = fam.L1
-    N = fam.n_funcs
-    phi = np.empty((N, M))
-    dphi = np.empty((N, M))
-    dap = np.empty((N, M))
-    ddap = np.empty((N, M))
-    y = L1 - x
-    for i, (member, (a, c)) in enumerate(zip(fam.members, fam.powers)):
-        # factored forms are exact at the endpoints (no cancellation)
-        phi[i] = x**a * y**c
-        dphi[i] = x ** (a - 1) * y ** (c - 1) * (a * y - c * x)
-        dap[i] = rl_derivative(member, alpha)(x)
-        ddap[i] = rl_alpha_sensitivity(member, alpha)(x)
-    return GridEval(x, alpha, phi, dphi, dap, ddap)
+class DataMoments:
+    """The family integrated against samples c, rhs on a uniform grid x from
+    0 to L1: the columns A and C, and B(alpha), G(alpha) on demand."""
+
+    def __init__(self, fam: ModulatingFamily, x: np.ndarray, c: np.ndarray, rhs: np.ndarray):
+        x = np.asarray(x, dtype=float)
+        M = len(x)
+        if M < 3:
+            raise ValueError(f"grid needs at least 3 points, got M={M}")
+        if x[0] != 0.0 or abs(x[-1] - fam.L1) > 1e-12 * fam.L1:
+            raise ValueError(
+                f"measurement grid [{x[0]}, {x[-1]}] does not match the family's [0, {fam.L1}]"
+            )
+        w = np.full(M, x[1] - x[0])
+        w[[0, -1]] *= 0.5
+        wc = w * np.asarray(c, dtype=float)[::-1]   # w_j c(L1 - x_j)
+        wr = w * np.asarray(rhs, dtype=float)[::-1]
+
+        y = fam.L1 - x
+        self.A, self.C = np.empty(fam.n_funcs), np.empty(fam.n_funcs)
+        for n, (a, e) in enumerate(fam.powers):
+            # factored forms are exact at the endpoints (no cancellation)
+            base = x ** (a - 1) * y ** (e - 1)
+            self.A[n] = -np.einsum("j,j->", base * (a * y - e * x), wc)
+            self.C[n] = np.einsum("j,j->", base * x * y, wr)
+
+        k0 = fam.b + 1  # lowest power with a nonzero coefficient in any member
+        self.k = np.arange(k0, fam.degree + 1, dtype=float)
+        self.P = np.array([m.coeffs[k0:] for m in fam.members])
+        self.xp = x[1:]
+        self.log_x = np.log(self.xp)
+        self.V = np.empty((len(self.k), M - 1))
+        self.V[0] = wc[1:] * self.xp**k0
+        for i in range(1, len(self.k)):
+            self.V[i] = self.V[i - 1] * self.xp
+
+    def fractional_columns(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+        """B(alpha) and its order-derivative G(alpha), for alpha in (1, 2]."""
+        alpha = float(alpha)
+        if not 1.0 < alpha <= 2.0:
+            raise ValueError(f"alpha must be in (1, 2], got {alpha}")
+        x_a = self.xp ** -alpha
+        m, l = np.einsum("kj,rj->rk", self.V, [x_a, x_a * self.log_x])
+        g = special.gamma(self.k + 1) * special.rgamma(self.k + 1 - alpha)
+        gm = g * m
+        return self.P @ gm, self.P @ (special.psi(self.k + 1 - alpha) * gm - g * l)

@@ -10,11 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from .fracpoly import Polynomial, rl_derivative, rl_alpha_sensitivity
-from .modfun import build_family, evaluate_on_grid
+from .modfun import build_family
 from .synthdata import TrueModel, synthesize, restrict
 from .estimator import (
-    EstimatorConfig,
     assemble_theorem1,
+    linearize,
+    measurement_moments,
     solve_2col_least_squares,
     trapezoid,
 )
@@ -59,13 +60,10 @@ def check_sensitivity_fd() -> tuple[bool, str]:
 
 def check_residual_identity() -> tuple[bool, str]:
     ms = restrict(synthesize(TrueModel(), 1351, noise_level=0.03, seed=7), 9.0)
-    fam = build_family(4, 3, 9.0)
-    alpha = 1.7
-    ge = evaluate_on_grid(fam, alpha, len(ms.x))
-    sys1 = assemble_theorem1(ms, fam, ge, alpha)
+    sys1 = assemble_theorem1(measurement_moments(ms, build_family(4, 3, 9.0)), 1.7)
     nu, d, _ = solve_2col_least_squares(sys1)
-    K = nu * sys1.A_col + d * sys1.B_col
     lsq_resid = nu * sys1.A_col + d * sys1.B_col - sys1.C_col
+    K = linearize(sys1).K
     worst = float(
         np.abs((K - sys1.C_col) - lsq_resid).max() / np.abs(lsq_resid).max()
     )
@@ -73,25 +71,15 @@ def check_residual_identity() -> tuple[bool, str]:
 
 
 def check_gradient_fd() -> tuple[bool, str]:
-    from .estimator import assemble_prop1, solve_derivative_system, gradient_Kprime
-
     ms = restrict(synthesize(TrueModel(nu=0.5), 1351), 9.0)
-    fam = build_family(3, 3, 9.0)
+    mom = measurement_moments(ms, build_family(3, 3, 9.0))
     alpha, h = 1.75, 1e-4
-    M = len(ms.x)
 
-    def K_of(a):
-        ge = evaluate_on_grid(fam, a, M)
-        s = assemble_theorem1(ms, fam, ge, a)
-        nu, d, _ = solve_2col_least_squares(s)
-        return nu * s.A_col + d * s.B_col, nu, d
+    def lin_at(a):
+        return linearize(assemble_theorem1(mom, a))
 
-    ge = evaluate_on_grid(fam, alpha, M)
-    _, nu, d = K_of(alpha)
-    sysp = assemble_prop1(ms, fam, ge, alpha, d)
-    dnu, dd, _ = solve_derivative_system(sysp)
-    analytic = gradient_Kprime(ms, fam, ge, alpha, nu, d, dnu, dd)
-    fd = (K_of(alpha + h)[0] - K_of(alpha - h)[0]) / (2 * h)
+    analytic = lin_at(alpha).Kp
+    fd = (lin_at(alpha + h).K - lin_at(alpha - h).K) / (2 * h)
     worst = float(np.abs(analytic - fd).max() / np.abs(fd).max())
     return worst <= 1e-3, f"max rel FD mismatch {worst:.2e} (tol 1e-3)"
 

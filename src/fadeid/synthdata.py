@@ -15,7 +15,6 @@ touches it carries a vanishing modulating factor).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 
@@ -154,18 +153,17 @@ CSV_HEADER = ["x", "c", "dcdt", "r", "c_noisy", "dcdt_noisy"]
 
 def to_csv(ms: MeasurementSet, path) -> None:
     """Write one row per grid point at full double precision."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(CSV_HEADER)
-        for row in zip(ms.x, ms.c, ms.dcdt, ms.r, ms.c_noisy, ms.dcdt_noisy):
-            w.writerow([f"{v:.17g}" for v in row])
+    cols = np.column_stack([ms.x, ms.c, ms.dcdt, ms.r, ms.c_noisy, ms.dcdt_noisy])
+    np.savetxt(path, cols, fmt="%.17g", delimiter=",", newline="\r\n",
+               header=",".join(CSV_HEADER), comments="")
 
 
 def from_csv(path) -> MeasurementSet:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header}")
-        cols = np.array([[float(v) for v in row] for row in reader]).T
+        cols = np.loadtxt(fh, delimiter=",", ndmin=2).T
+    if len(cols) != len(CSV_HEADER):
+        raise ValueError(f"expected {len(CSV_HEADER)} columns, got {len(cols)}")
     return MeasurementSet(*cols)

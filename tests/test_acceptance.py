@@ -5,22 +5,21 @@ at its stated tolerance.  Criteria that measure Monte-Carlo statistics use
 20 fixed seeds and run their estimation cells in a process pool.
 """
 
-import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from fadeid.fracpoly import rl_derivative, rl_alpha_sensitivity, Polynomial
-from fadeid.modfun import build_family, evaluate_on_grid
+from fadeid.modfun import build_family
 from fadeid.synthdata import TrueModel, synthesize, restrict
 from fadeid.estimator import (
     EstimatorConfig,
     assemble_theorem1,
-    assemble_prop1,
+    linearize,
+    measurement_moments,
     solve_2col_least_squares,
-    solve_derivative_system,
-    gradient_Kprime,
     newton_estimate,
 )
 from fadeid.selftest import CHECKS
@@ -39,9 +38,8 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def two_param_errors(model, M, L1, noise, seed):
     ms = restrict(synthesize(model, M, noise_level=noise, seed=seed), L1)
-    fam = build_family(3, 3, L1)
-    ge = evaluate_on_grid(fam, model.alpha, len(ms.x))
-    nu, d, _ = solve_2col_least_squares(assemble_theorem1(ms, fam, ge, model.alpha))
+    mom = measurement_moments(ms, build_family(3, 3, float(ms.x[-1])))
+    nu, d, _ = solve_2col_least_squares(assemble_theorem1(mom, model.alpha))
     return abs(nu - model.nu) / abs(model.nu), abs(d - model.d) / abs(model.d)
 
 
@@ -61,7 +59,7 @@ def _newton_cell(args):
 
 def newton_sweep(n_values, noise):
     jobs = [(N, noise, s) for N in n_values for s in SEEDS]
-    with ProcessPoolExecutor(max_workers=8) as pool:
+    with ProcessPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
         return list(pool.map(_newton_cell, jobs, chunksize=1))
 
 
@@ -170,21 +168,16 @@ def test_criterion_5_property_suite():
         failures.append("sensitivity FD error not O(h^2)")
 
     ms = restrict(synthesize(EXAMPLE1, 2701), 9.0)
-    fam = build_family(3, 3, 9.0)
+    mom = measurement_moments(ms, build_family(3, 3, 9.0))
     alpha = 1.8
 
-    def K_of(a):
-        ge = evaluate_on_grid(fam, a, len(ms.x))
-        s = assemble_theorem1(ms, fam, ge, a)
-        nu, d, _ = solve_2col_least_squares(s)
-        return nu * s.A_col + d * s.B_col, nu, d, ge
+    def lin_at(a):
+        return linearize(assemble_theorem1(mom, a))
 
-    K, nu, d, ge = K_of(alpha)
-    dnu, dd, _ = solve_derivative_system(assemble_prop1(ms, fam, ge, alpha, d))
-    analytic = gradient_Kprime(ms, fam, ge, alpha, nu, d, dnu, dd)
+    analytic = lin_at(alpha).Kp
     errs = []
     for h in (1e-2, 1e-3):
-        fd = (K_of(alpha + h)[0] - K_of(alpha - h)[0]) / (2 * h)
+        fd = (lin_at(alpha + h).K - lin_at(alpha - h).K) / (2 * h)
         errs.append(float(np.abs(fd - analytic).max()))
     if errs[1] > errs[0] / 20:
         failures.append("gradient FD error not O(h^2)")
@@ -200,9 +193,8 @@ def test_criterion_6_conditioning_monotone():
     ms = restrict(synthesize(EXAMPLE1, M_1500), 9.0)
     conds = []
     for N in range(3, 21):
-        fam = build_family(N, 3, 9.0)
-        ge = evaluate_on_grid(fam, 1.8, len(ms.x))
-        conds.append(assemble_theorem1(ms, fam, ge, 1.8).cond_estimate)
+        mom = measurement_moments(ms, build_family(N, 3, 9.0))
+        conds.append(assemble_theorem1(mom, 1.8).cond_estimate)
     monotone = all(b > a for a, b in zip(conds, conds[1:]))
     report(
         "criterion 6 (condition estimate monotone over N=3..20)",

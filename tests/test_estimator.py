@@ -2,19 +2,17 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from fadeid.modfun import build_family, evaluate_on_grid
+from fadeid.modfun import build_family
 from fadeid.synthdata import TrueModel, synthesize, restrict
 from fadeid.estimator import (
     LinearSystem,
     EstimatorConfig,
     RankDeficientError,
     trapezoid,
+    measurement_moments,
     assemble_theorem1,
     solve_2col_least_squares,
-    assemble_prop1,
-    solve_derivative_system,
-    residual_K_U,
-    gradient_Kprime,
+    linearize,
     estimate_two_param,
     newton_estimate,
 )
@@ -34,10 +32,14 @@ def fam3():
 
 
 def fit(ms, fam, alpha):
-    ge = evaluate_on_grid(fam, alpha, len(ms.x))
-    sys1 = assemble_theorem1(ms, fam, ge, alpha)
+    mom = measurement_moments(ms, fam)
+    sys1 = assemble_theorem1(mom, alpha)
     nu, d, _ = solve_2col_least_squares(sys1)
-    return nu, d, sys1, ge
+    return nu, d, sys1, mom
+
+
+def J_of(lin, sys1):
+    return float(np.sum((lin.K - sys1.C_col) ** 2))
 
 
 class TestTrapezoid:
@@ -88,6 +90,14 @@ class TestSolve2Col:
         with pytest.raises(RankDeficientError):
             solve_2col_least_squares(LinearSystem(A, 2 * A, A, 1.0))
 
+    def test_several_right_hand_sides(self):
+        A = np.array([1.0, 2.0, 0.5])
+        B = np.array([3.0, -1.0, 2.0])
+        sys = LinearSystem(A, B, 0.7 * A + 1.3 * B, 1.0)
+        nu, d, _ = solve_2col_least_squares(sys, np.column_stack([sys.C_col, -0.2 * A + 4 * B]))
+        np.testing.assert_allclose(nu, [0.7, -0.2], rtol=1e-12)
+        np.testing.assert_allclose(d, [1.3, 4.0], rtol=1e-12)
+
     def test_all_zero_system(self):
         z = np.zeros(3)
         with pytest.raises(RankDeficientError):
@@ -104,8 +114,7 @@ class TestAssembleTheorem1:
         ms = restrict(synthesize(CANONICAL, 1351), 9.0)
         zero = replace(ms, c=0 * ms.c, dcdt=0 * ms.dcdt, r=0 * ms.r,
                        c_noisy=0 * ms.c, dcdt_noisy=0 * ms.dcdt)
-        ge = evaluate_on_grid(fam3, 1.8, len(zero.x))
-        sys1 = assemble_theorem1(zero, fam3, ge, 1.8)
+        sys1 = assemble_theorem1(measurement_moments(zero, fam3), 1.8)
         assert np.all(sys1.A_col == 0) and np.all(sys1.B_col == 0) and np.all(sys1.C_col == 0)
         with pytest.raises(RankDeficientError):
             solve_2col_least_squares(sys1)
@@ -114,27 +123,21 @@ class TestAssembleTheorem1:
         ms = restrict(synthesize(CANONICAL, 1351), 9.0)
         doubled = replace(ms, c=2 * ms.c, dcdt=2 * ms.dcdt, r=2 * ms.r,
                           c_noisy=2 * ms.c_noisy, dcdt_noisy=2 * ms.dcdt_noisy)
-        ge = evaluate_on_grid(fam3, 1.8, len(ms.x))
-        s1 = assemble_theorem1(ms, fam3, ge, 1.8)
-        s2 = assemble_theorem1(doubled, fam3, ge, 1.8)
+        s1 = assemble_theorem1(measurement_moments(ms, fam3), 1.8)
+        s2 = assemble_theorem1(measurement_moments(doubled, fam3), 1.8)
         np.testing.assert_allclose(s2.A_col, 2 * s1.A_col, rtol=1e-14)
         np.testing.assert_allclose(s2.B_col, 2 * s1.B_col, rtol=1e-14)
         np.testing.assert_allclose(s2.C_col, 2 * s1.C_col, rtol=1e-14)
+        np.testing.assert_allclose(s2.G_col, 2 * s1.G_col, rtol=1e-14)
         assert solve_2col_least_squares(s2)[:2] == pytest.approx(
             solve_2col_least_squares(s1)[:2], rel=1e-12
         )
 
     def test_grid_mismatch_rejected(self, fam3):
-        ms = restrict(synthesize(CANONICAL, 1351), 9.0)
-        ge = evaluate_on_grid(fam3, 1.8, 999)
+        # the family lives on [0, 9]; measurements restricted to [0, 5] do not span it
+        ms = restrict(synthesize(CANONICAL, 1351), 5.0)
         with pytest.raises(ValueError):
-            assemble_theorem1(ms, fam3, ge, 1.8)
-
-    def test_alpha_mismatch_rejected(self, fam3):
-        ms = restrict(synthesize(CANONICAL, 1351), 9.0)
-        ge = evaluate_on_grid(fam3, 1.8, len(ms.x))
-        with pytest.raises(ValueError):
-            assemble_theorem1(ms, fam3, ge, 1.7)
+            measurement_moments(ms, fam3)
 
     def test_row_permutation_leaves_solution_unchanged(self, clean_13501, fam3):
         _, _, sys1, _ = fit(clean_13501, fam3, 1.8)
@@ -153,51 +156,54 @@ class TestAssembleTheorem1:
             errs.append(abs(nu - 0.2) / 0.2 + abs(d - 1.0))
         assert errs[1] <= errs[0] / 2
 
+    def test_non_finite_column_rejected(self):
+        with pytest.raises(ValueError):
+            LinearSystem(np.ones(3), np.ones(3), np.ones(3), 1.0, np.array([0.0, np.nan, 1.0]))
+
 
 class TestProp1:
-    def test_columns_reused_bit_for_bit(self, clean_13501, fam3):
-        nu, d, sys1, ge = fit(clean_13501, fam3, 1.8)
-        sysp = assemble_prop1(clean_13501, fam3, ge, 1.8, d)
-        assert np.array_equal(sysp.A_col, sys1.B_col)
-        assert np.array_equal(sysp.B_col, sys1.A_col)
+    """The derivative system [A B] (dnu, dd) = -d*G, solved by linearize."""
+
+    def test_derivative_solve_matches_lstsq(self, clean_13501, fam3):
+        _, _, sys1, _ = fit(clean_13501, fam3, 1.75)
+        lin = linearize(sys1)
+        mat = np.column_stack([sys1.A_col, sys1.B_col])
+        ref = np.linalg.lstsq(mat, -lin.d * sys1.G_col, rcond=None)[0]
+        np.testing.assert_allclose([lin.dnu, lin.dd], ref, rtol=1e-10)
 
     def test_zero_dispersion_gives_zero_solution(self, clean_13501, fam3):
-        ge = evaluate_on_grid(fam3, 1.8, len(clean_13501.x))
-        sysp = assemble_prop1(clean_13501, fam3, ge, 1.8, 0.0)
-        assert np.all(sysp.C_col == 0.0)
-        dnu, dd, _ = solve_derivative_system(sysp)
-        assert dnu == 0.0 and dd == 0.0
+        _, _, sys1, _ = fit(clean_13501, fam3, 1.8)
+        lin = linearize(replace(sys1, C_col=np.zeros_like(sys1.C_col)))
+        assert lin.d == 0.0
+        assert lin.dnu == 0.0 and lin.dd == 0.0
+        assert np.all(lin.Kp == 0.0)
 
     def test_finite_difference_oracle(self, clean_13501, fam3):
         alpha, h = 1.8, 1e-4
-        nu, d, sys1, ge = fit(clean_13501, fam3, alpha)[:4]
-        sysp = assemble_prop1(clean_13501, fam3, ge, alpha, d)
-        dnu, dd, _ = solve_derivative_system(sysp)
+        lin = linearize(fit(clean_13501, fam3, alpha)[2])
         nu_p, d_p = fit(clean_13501, fam3, alpha + h)[:2]
         nu_m, d_m = fit(clean_13501, fam3, alpha - h)[:2]
         fd_nu = (nu_p - nu_m) / (2 * h)
         fd_d = (d_p - d_m) / (2 * h)
-        assert abs(dnu - fd_nu) <= 1e-3 * abs(fd_nu)
-        assert abs(dd - fd_d) <= 1e-3 * abs(fd_d)
+        assert abs(lin.dnu - fd_nu) <= 1e-3 * abs(fd_nu)
+        assert abs(lin.dd - fd_d) <= 1e-3 * abs(fd_d)
 
 
 class TestResidualKU:
     def test_equals_least_squares_residual(self, clean_13501, fam3):
-        nu, d, sys1, ge = fit(clean_13501, fam3, 1.75)[:4]
-        K, U = residual_K_U(clean_13501, fam3, ge, 1.75, nu, d)
+        nu, d, sys1, _ = fit(clean_13501, fam3, 1.75)
+        lin = linearize(sys1)
         lsq = nu * sys1.A_col + d * sys1.B_col - sys1.C_col
-        assert np.abs((K - U) - lsq).max() <= 1e-12 * max(np.abs(lsq).max(), 1e-300)
+        assert np.abs((lin.K - sys1.C_col) - lsq).max() <= 1e-12 * max(np.abs(lsq).max(), 1e-300)
 
     def test_small_at_truth(self, clean_13501, fam3):
-        nu, d, _, ge = fit(clean_13501, fam3, 1.8)[:4]
-        K, U = residual_K_U(clean_13501, fam3, ge, 1.8, nu, d)
-        assert float(np.sum((K - U) ** 2)) <= 1e-6 * float(np.sum(U**2))
+        sys1 = fit(clean_13501, fam3, 1.8)[2]
+        assert J_of(linearize(sys1), sys1) <= 1e-6 * float(np.sum(sys1.C_col**2))
 
     def test_larger_away_from_truth(self, clean_13501, fam3):
         def J(alpha):
-            nu, d, _, ge = fit(clean_13501, fam3, alpha)[:4]
-            K, U = residual_K_U(clean_13501, fam3, ge, alpha, nu, d)
-            return float(np.sum((K - U) ** 2))
+            sys1 = fit(clean_13501, fam3, alpha)[2]
+            return J_of(linearize(sys1), sys1)
 
         assert J(1.8) < J(1.6)
         assert J(1.8) < J(2.0)
@@ -217,34 +223,26 @@ class TestGradientKprime:
     )
     def test_finite_difference_oracle(self, clean_13501, fam3, alpha, tol):
         h = 1e-4
+        mom = measurement_moments(clean_13501, fam3)
 
-        def K_of(a):
-            nu, d, sys1, _ = fit(clean_13501, fam3, a)
-            return nu * sys1.A_col + d * sys1.B_col
+        def lin_at(a):
+            return linearize(assemble_theorem1(mom, a))
 
-        nu, d, sys1, ge = fit(clean_13501, fam3, alpha)
-        sysp = assemble_prop1(clean_13501, fam3, ge, alpha, d)
-        dnu, dd, _ = solve_derivative_system(sysp)
-        analytic = gradient_Kprime(clean_13501, fam3, ge, alpha, nu, d, dnu, dd)
-        fd = (K_of(alpha + h) - K_of(alpha - h)) / (2 * h)
-        assert np.abs(analytic - fd).max() <= tol * np.abs(fd).max()
+        fd = (lin_at(alpha + h).K - lin_at(alpha - h).K) / (2 * h)
+        assert np.abs(lin_at(alpha).Kp - fd).max() <= tol * np.abs(fd).max()
 
     def test_zero_when_all_derivative_inputs_vanish(self, clean_13501, fam3):
-        ge = evaluate_on_grid(fam3, 1.8, len(clean_13501.x))
-        ge_flat = replace(ge, dalpha_dalpha_phi=0 * ge.dalpha_dalpha_phi)
-        out = gradient_Kprime(clean_13501, fam3, ge_flat, 1.8, 0.2, 1.0, 0.0, 0.0)
-        assert np.all(out == 0.0)
+        _, _, sys1, _ = fit(clean_13501, fam3, 1.8)
+        lin = linearize(replace(sys1, G_col=np.zeros_like(sys1.G_col)))
+        assert lin.dnu == 0.0 and lin.dd == 0.0
+        assert np.all(lin.Kp == 0.0)
 
     def test_descent_direction_from_below(self, fam3):
         # starting below the true order, the Gauss-Newton step must increase alpha
         ms = restrict(synthesize(TABLE1, 13501), 9.0)
-        alpha = 1.4
-        nu, d, sys1, ge = fit(ms, fam3, alpha)[:4]
-        K, U = residual_K_U(ms, fam3, ge, alpha, nu, d)
-        sysp = assemble_prop1(ms, fam3, ge, alpha, d)
-        dnu, dd, _ = solve_derivative_system(sysp)
-        Kp = gradient_Kprime(ms, fam3, ge, alpha, nu, d, dnu, dd)
-        step = float(Kp @ (U - K)) / float(Kp @ Kp)
+        sys1 = fit(ms, fam3, 1.4)[2]
+        lin = linearize(sys1)
+        step = float(lin.Kp @ (sys1.C_col - lin.K)) / float(lin.Kp @ lin.Kp)
         assert step > 0
 
 

@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 
-from fadeid.fracpoly import Polynomial, rl_derivative
-from fadeid.modfun import build_family, evaluate_on_grid
+from fadeid.fracpoly import Polynomial, rl_derivative, rl_alpha_sensitivity
+from fadeid.modfun import DataMoments, build_family
+from fadeid.synthdata import TrueModel, synthesize, restrict
 from fadeid.estimator import trapezoid
+
+TABLE1 = TrueModel(nu=0.5, d=1.0, alpha=1.8, L=9.0, T=1.0)
 
 
 @pytest.fixture(scope="module")
 def fam():
     return build_family(3, 3, 9.0)
+
+
+def grid_data(M):
+    """A smooth, sign-changing sample on M points of [0, 9]."""
+    x = np.linspace(0.0, 9.0, M)
+    return x, 1.0 + np.sin(x) + 0.1 * x**2
 
 
 class TestBuildFamily:
@@ -42,48 +51,86 @@ class TestBuildFamily:
 
 
 class TestEvaluateOnGrid:
+    """The family sampled on a measurement grid, seen through the columns of
+    DataMoments: B and G are checked against sampled derivatives, A and C
+    against sampled members."""
+
     def test_integer_order_matches_second_derivative(self, fam):
-        ge = evaluate_on_grid(fam, 2.0, 301)
-        for m, row in zip(fam.members, ge.dalpha_phi):
-            ref = m.derivative().derivative()(ge.x)
-            np.testing.assert_allclose(row, ref, rtol=1e-10, atol=1e-10 * np.abs(ref).max())
+        x, c = grid_data(301)
+        B, _ = DataMoments(fam, x, c, c).fractional_columns(2.0)
+        for m, got in zip(fam.members, B):
+            ref = trapezoid(m.derivative().derivative()(x) * c[::-1], x[1])
+            assert got == pytest.approx(ref, rel=1e-10)
 
     def test_fractional_rows_vanish_at_origin(self, fam):
-        ge = evaluate_on_grid(fam, 1.8, 101)
-        assert np.all(ge.dalpha_phi[:, 0] == 0.0)
-        assert np.all(ge.dalpha_dalpha_phi[:, 0] == 0.0)
+        # D^alpha phi_n and its alpha-sensitivity vanish at x = 0, so the
+        # sample c(L1) that multiplies them there cannot contribute
+        x, c = grid_data(101)
+        c2 = c.copy()
+        c2[-1] = 1e6
+        for alpha in (1.3, 1.8):
+            B, G = DataMoments(fam, x, c, c).fractional_columns(alpha)
+            B2, G2 = DataMoments(fam, x, c2, c).fractional_columns(alpha)
+            assert np.array_equal(B, B2) and np.array_equal(G, G2)
 
     def test_phi_rows_vanish_at_endpoints(self, fam):
-        ge = evaluate_on_grid(fam, 1.5, 101)
-        for row in ge.phi:
-            assert abs(row[0]) <= 1e-15 * np.abs(row).max()
-            assert abs(row[-1]) <= 1e-15 * np.abs(row).max()
+        # phi_n and phi_n' vanish at both ends: endpoint samples do not enter A or C
+        x, c = grid_data(101)
+        c2 = c.copy()
+        c2[[0, -1]] = 1e6
+        m1 = DataMoments(fam, x, c, c)
+        m2 = DataMoments(fam, x, c2, c2)
+        for got, ref in ((m2.A, m1.A), (m2.C, m1.C)):
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_sensitivity_row_finite_difference(self, fam):
         alpha, h = 1.8, 1e-5
-        M = 101
-        ge = evaluate_on_grid(fam, alpha, M)
-        gp = evaluate_on_grid(fam, alpha + h, M)
-        gm = evaluate_on_grid(fam, alpha - h, M)
-        fd = (gp.dalpha_phi - gm.dalpha_phi) / (2 * h)
-        for got, ref in zip(ge.dalpha_dalpha_phi, fd):
-            assert np.abs(got - ref).max() <= 1e-6 * np.abs(got).max()
+        x, c = grid_data(101)
+        mom = DataMoments(fam, x, c, c)
+        _, G = mom.fractional_columns(alpha)
+        fd = (mom.fractional_columns(alpha + h)[0] - mom.fractional_columns(alpha - h)[0]) / (2 * h)
+        assert np.abs(G - fd).max() <= 1e-6 * np.abs(G).max()
 
     def test_grid_spacing(self, fam):
-        ge = evaluate_on_grid(fam, 1.5, 10)
-        assert ge.dx == pytest.approx(1.0)
-        assert len(ge.x) == 10
+        # 10 points on [0, 9]: spacing 1, so C is the unit-step trapezoid of phi_n
+        x = np.linspace(0.0, 9.0, 10)
+        ones = np.ones(10)
+        C = DataMoments(fam, x, ones, ones).C
+        for m, got in zip(fam.members, C):
+            assert got == pytest.approx(trapezoid(m(x), 1.0), rel=1e-12)
 
     @pytest.mark.parametrize("alpha,M", [(1.0, 101), (2.1, 101), (1.5, 2)])
     def test_invalid_arguments(self, fam, alpha, M):
+        x = np.linspace(0.0, 9.0, M)
         with pytest.raises(ValueError):
-            evaluate_on_grid(fam, alpha, M)
+            DataMoments(fam, x, x, x).fractional_columns(alpha)
 
     def test_dphi_matches_polynomial_derivative(self, fam):
-        ge = evaluate_on_grid(fam, 1.5, 77)
-        for m, row in zip(fam.members, ge.dphi_dx):
-            ref = m.derivative()(ge.x)
-            np.testing.assert_allclose(row, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+        x, c = grid_data(77)
+        A = DataMoments(fam, x, c, c).A
+        for m, got in zip(fam.members, A):
+            ref = trapezoid(-m.derivative()(9.0 - x) * c, x[1])
+            assert got == pytest.approx(ref, rel=1e-9)
+
+
+class TestDataMoments:
+    """B and G against the direct quadrature of the sampled fractional
+    derivatives, on noisy Table-1 data (the monomial basis limits the
+    agreement at larger N)."""
+
+    @pytest.fixture(scope="class")
+    def table1(self):
+        return restrict(synthesize(TABLE1, 31501, noise_level=0.02, seed=0), 9.0)
+
+    @pytest.mark.parametrize("N,tol", [(3, 1e-8), (7, 1e-8), (11, 1e-6)])
+    @pytest.mark.parametrize("alpha", [1.3, 1.8, 2.0])
+    def test_matches_direct_trapezoid(self, table1, N, tol, alpha):
+        x, c = table1.x, table1.c_noisy
+        fam = build_family(N, 3, 9.0)
+        B, G = DataMoments(fam, x, c, c).fractional_columns(alpha)
+        for got, evaluator in ((B, rl_derivative), (G, rl_alpha_sensitivity)):
+            ref = np.array([trapezoid(evaluator(m, alpha)(x) * c[::-1], x[1]) for m in fam.members])
+            assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
 
 
 class TestFractionalIntegrationByParts:

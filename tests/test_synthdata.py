@@ -152,6 +152,13 @@ class TestCsvRoundTrip:
         to_csv(ms, path)
         assert path.read_text().splitlines()[0] == "x,c,dcdt,r,c_noisy,dcdt_noisy"
 
+    @pytest.mark.parametrize("rows", ["1,2,3,4,5,6\n1,2,3,4,5\n", "1,2,3,4,5\n1,2,3,4,5\n"])
+    def test_wrong_column_count_rejected(self, tmp_path, rows):
+        path = tmp_path / "short.csv"
+        path.write_text("x,c,dcdt,r,c_noisy,dcdt_noisy\n" + rows)
+        with pytest.raises(ValueError):
+            from_csv(path)
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")
