@@ -22,7 +22,6 @@ from .synthdata import (
     restrict,
 )
 from .estimator import (
-    LinearSystem,
     EstimatorConfig,
     EstimateResult,
     RankDeficientError,
@@ -30,8 +29,6 @@ from .estimator import (
     Linearization,
     trapezoid,
     measurement_moments,
-    assemble_theorem1,
-    solve_2col_least_squares,
     linearize,
     estimate_two_param,
     newton_estimate,

@@ -21,9 +21,11 @@ at the fitted (nu, d).
 
 Only B and G depend on alpha.  The measurements are reduced once per
 estimate to a :class:`~fadeid.modfun.DataMoments` (A, C and the alpha-free
-moment block); every Newton iterate then costs one small matrix product
-for (B, G) and one SVD of [A B], which solves both the Stage-1 system and
-the derivative system of Proposition 1 (same matrix, right-hand side -d*G).
+moment block).  :func:`linearize` is the one Stage-1 routine: at a given
+alpha it forms (B, G) with one small matrix product and takes one SVD of
+[A B], which solves both the Stage-1 system and the derivative system of
+Proposition 1 (same matrix, right-hand side -d*G) and gives the condition
+number of [A B].
 """
 
 from __future__ import annotations
@@ -45,29 +47,6 @@ class GradientDegenerateError(RuntimeError):
     """The Stage-2 gradient vanished; Newton update undefined."""
 
 
-@dataclass(frozen=True)
-class LinearSystem:
-    A_col: np.ndarray
-    B_col: np.ndarray
-    C_col: np.ndarray
-    cond_estimate: float
-    #: dB/dalpha, needed by Stage 2 only
-    G_col: np.ndarray | None = None
-
-    def __post_init__(self):
-        n = len(self.A_col)
-        if n < 2:
-            raise ValueError("system needs at least 2 rows")
-        cols = [self.A_col, self.B_col, self.C_col]
-        if self.G_col is not None:
-            cols.append(self.G_col)
-        if any(len(col) != n for col in cols):
-            raise ValueError("column length mismatch")
-        for col in cols:
-            if not np.all(np.isfinite(col)):
-                raise ValueError("non-finite system entry")
-
-
 class IterationRecord(NamedTuple):
     alpha: float
     residual: float
@@ -84,6 +63,7 @@ class Linearization(NamedTuple):
     dd: float       # dd/dalpha
     K: np.ndarray   # nu*A + d*B
     Kp: np.ndarray  # dK/dalpha
+    cond: float     # 2-norm condition number of [A B]
 
 
 @dataclass
@@ -117,6 +97,8 @@ class EstimatorConfig:
             raise ValueError("L1 must be positive")
         if self.step_clamp <= 0:
             raise ValueError("step_clamp must be positive")
+        if self.max_iter < 0:
+            raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 
 
 @dataclass
@@ -150,91 +132,71 @@ def _moments(ms: MeasurementSet, config: EstimatorConfig) -> DataMoments:
     return measurement_moments(msr, build_family(config.N, config.b, float(msr.x[-1])))
 
 
-def _cond_2col(A_col: np.ndarray, B_col: np.ndarray) -> float:
-    s = np.linalg.svd(np.column_stack([A_col, B_col]), compute_uv=False)
-    return float(s[0] / s[1]) if s[1] > 0 else np.inf
+def linearize(mom: DataMoments, alpha: float) -> Linearization:
+    """Stage-1 fit at order alpha and its alpha-derivative, from one SVD of [A B].
 
-
-def assemble_theorem1(mom: DataMoments, alpha: float) -> LinearSystem:
-    """The Stage-1 N x 2 system at order alpha, with G = dB/dalpha attached."""
-    B, G = mom.fractional_columns(alpha)
-    return LinearSystem(mom.A, B, mom.C, _cond_2col(mom.A, B), G)
-
-
-def solve_2col_least_squares(sys: LinearSystem, rhs: np.ndarray | None = None):
-    """Least-squares (nu, d, cond) of the rows nu*A_n + d*B_n = C_n.
-
-    ``rhs`` replaces C.  A 2-D ``rhs`` holds several right-hand sides as
-    columns, all solved with the one SVD; nu and d are then arrays with one
-    entry per column.
+    The rows nu*A_n + d*B(alpha)_n = C_n are solved in the least-squares
+    sense.  Differentiating them in alpha (A and C are alpha-free) gives
+    [A B] (dnu, dd) = -d*G, the derivative system of Proposition 1, solved
+    with the same factorisation; then K' = dnu*A + dd*B + d*G.
     """
-    u, s, vt = np.linalg.svd(np.column_stack([sys.A_col, sys.B_col]), full_matrices=False)
+    B, G = mom.fractional_columns(alpha)
+    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(G))):
+        raise ValueError(f"non-finite fractional column at alpha={alpha}")
+    A = mom.A
+    u, s, vt = np.linalg.svd(np.column_stack([A, B]), full_matrices=False)
     if s[1] <= 1e-12 * s[0]:
         raise RankDeficientError(
             f"system numerically rank-deficient (singular values {s[0]:.3e}, {s[1]:.3e})"
         )
-    coef = u.T @ (sys.C_col if rhs is None else rhs)
-    x = vt.T @ (coef.T / s).T  # divides row i of coef by s[i], for 1-D or 2-D coef
-    return x[0], x[1], float(s[0] / s[1])
-
-
-def linearize(sys: LinearSystem) -> Linearization:
-    """Stage-1 fit and its alpha-derivative from one SVD of [A B].
-
-    Differentiating the rows nu*A_n + d*B_n = C_n in alpha (A and C are
-    alpha-free) gives [A B] (dnu, dd) = -d*G, solved in the least-squares
-    sense with the Stage-1 matrix (Proposition 1); then
-    K' = dnu*A + dd*B + d*G.
-    """
-    (nu, p), (d, q), _ = solve_2col_least_squares(
-        sys, np.column_stack([sys.C_col, sys.G_col])
-    )
+    coef = u.T @ np.column_stack([mom.C, G])
+    (nu, p), (d, q) = vt.T @ (coef / s[:, None])
     nu, d, dnu, dd = float(nu), float(d), -float(d * p), -float(d * q)
-    K = nu * sys.A_col + d * sys.B_col
-    Kp = dnu * sys.A_col + dd * sys.B_col + d * sys.G_col
-    return Linearization(nu, d, dnu, dd, K, Kp)
+    K = nu * A + d * B
+    Kp = dnu * A + dd * B + d * G
+    return Linearization(nu, d, dnu, dd, K, Kp, float(s[0] / s[1]))
 
 
 def estimate_two_param(
     ms: MeasurementSet, config: EstimatorConfig, alpha: float
 ) -> tuple[float, float, float]:
     """Stage 1 alone: (nu, d, cond) at a known fractional order."""
-    nu, d, cond = solve_2col_least_squares(assemble_theorem1(_moments(ms, config), alpha))
-    return float(nu), float(d), cond
+    lin = linearize(_moments(ms, config), alpha)
+    return lin.nu, lin.d, lin.cond
 
 
 def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResult:
     """Full two-stage iteration for (nu, d, alpha).
 
     The moments of the restricted measurements are built once; each iterate
-    assembles B and G at the current alpha, solves Stage 1 and its
-    derivative system, then takes a clamped scalar Gauss-Newton step
-    dalpha = <K', U - K> / <K', K'> projected into (1 + 1e-6, 2].  Stops
-    when J = ||K - U||^2 falls below epsilon, when the alpha step
-    stagnates below alpha_tol (stationary point; the noise floor keeps J
-    above any tiny epsilon on noisy data), or at max_iter (flagged
-    not converged, best iterate returned).
+    calls :func:`linearize` at the current alpha, then takes a clamped
+    scalar Gauss-Newton step dalpha = <K', U - K> / <K', K'> projected into
+    (1 + 1e-6, 2].  Stops when J = ||K - U||^2 falls below epsilon, when
+    the alpha step stagnates below alpha_tol (stationary point), or at
+    max_iter (flagged not converged, best iterate returned).
+
+    J < epsilon needs rows that (nu, d, alpha) can fit exactly: noise-free
+    data at any N, or N = 3, where three rows fix the three unknowns.  On
+    noisy data with N > 3 the noise floor keeps J above epsilon, and the
+    alpha-step test stops the loop.
     """
     mom = _moments(ms, config)
+    U = mom.C
+    eps = config.epsilon if config.epsilon is not None else 1e-10 * float(np.sum(U**2))
 
     alpha = float(config.alpha0)
-    eps = config.epsilon
     history: list[IterationRecord] = []
     best: tuple[float, IterationRecord, float] | None = None  # (J, record, cond)
     message = ""
     converged = False
 
     for k in range(config.max_iter + 1):
-        sys1 = assemble_theorem1(mom, alpha)
-        lin = linearize(sys1)
-        U = sys1.C_col
+        lin = linearize(mom, alpha)
         J = float(np.sum((lin.K - U) ** 2))
         rec = IterationRecord(alpha, J, lin.nu, lin.d)
         history.append(rec)
         if best is None or J < best[0]:
-            best = (J, rec, sys1.cond_estimate)
-        if eps is None:
-            eps = 1e-10 * float(np.sum(U**2))
+            best = (J, rec, lin.cond)
         if J < eps:
             converged, message = True, f"residual below epsilon={eps:.3e}"
             break

@@ -86,10 +86,16 @@ class DataMoments:
             raise ValueError(
                 f"measurement grid [{x[0]}, {x[-1]}] does not match the family's [0, {fam.L1}]"
             )
-        w = np.full(M, x[1] - x[0])
+        dx = x[1] - x[0]
+        if np.abs(np.diff(x) - dx).max() > 1e-9 * dx:
+            raise ValueError("measurement grid is not uniformly spaced")
+        c, rhs = np.asarray(c, dtype=float), np.asarray(rhs, dtype=float)
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(rhs))):
+            raise ValueError("non-finite measurement samples")
+        w = np.full(M, dx)
         w[[0, -1]] *= 0.5
-        wc = w * np.asarray(c, dtype=float)[::-1]   # w_j c(L1 - x_j)
-        wr = w * np.asarray(rhs, dtype=float)[::-1]
+        wc = w * c[::-1]   # w_j c(L1 - x_j)
+        wr = w * rhs[::-1]
 
         y = fam.L1 - x
         self.A, self.C = np.empty(fam.n_funcs), np.empty(fam.n_funcs)

@@ -16,10 +16,8 @@ from fadeid.modfun import build_family
 from fadeid.synthdata import TrueModel, synthesize, restrict
 from fadeid.estimator import (
     EstimatorConfig,
-    assemble_theorem1,
     linearize,
     measurement_moments,
-    solve_2col_least_squares,
     newton_estimate,
 )
 from fadeid.selftest import CHECKS
@@ -39,7 +37,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def two_param_errors(model, M, L1, noise, seed):
     ms = restrict(synthesize(model, M, noise_level=noise, seed=seed), L1)
     mom = measurement_moments(ms, build_family(3, 3, float(ms.x[-1])))
-    nu, d, _ = solve_2col_least_squares(assemble_theorem1(mom, model.alpha))
+    nu, d = linearize(mom, model.alpha)[:2]
     return abs(nu - model.nu) / abs(model.nu), abs(d - model.d) / abs(model.d)
 
 
@@ -171,13 +169,10 @@ def test_criterion_5_property_suite():
     mom = measurement_moments(ms, build_family(3, 3, 9.0))
     alpha = 1.8
 
-    def lin_at(a):
-        return linearize(assemble_theorem1(mom, a))
-
-    analytic = lin_at(alpha).Kp
+    analytic = linearize(mom, alpha).Kp
     errs = []
     for h in (1e-2, 1e-3):
-        fd = (lin_at(alpha + h).K - lin_at(alpha - h).K) / (2 * h)
+        fd = (linearize(mom, alpha + h).K - linearize(mom, alpha - h).K) / (2 * h)
         errs.append(float(np.abs(fd - analytic).max()))
     if errs[1] > errs[0] / 20:
         failures.append("gradient FD error not O(h^2)")
@@ -194,7 +189,7 @@ def test_criterion_6_conditioning_monotone():
     conds = []
     for N in range(3, 21):
         mom = measurement_moments(ms, build_family(N, 3, 9.0))
-        conds.append(assemble_theorem1(mom, 1.8).cond_estimate)
+        conds.append(linearize(mom, 1.8).cond)
     monotone = all(b > a for a, b in zip(conds, conds[1:]))
     report(
         "criterion 6 (condition estimate monotone over N=3..20)",

@@ -5,13 +5,10 @@ from dataclasses import replace
 from fadeid.modfun import build_family
 from fadeid.synthdata import TrueModel, synthesize, restrict
 from fadeid.estimator import (
-    LinearSystem,
     EstimatorConfig,
     RankDeficientError,
     trapezoid,
     measurement_moments,
-    assemble_theorem1,
-    solve_2col_least_squares,
     linearize,
     estimate_two_param,
     newton_estimate,
@@ -31,15 +28,25 @@ def fam3():
     return build_family(3, 3, 9.0)
 
 
+class Columns:
+    """Hand-made Stage-1 columns in place of a DataMoments: A, C and a
+    fixed (B, G) returned at every alpha."""
+
+    def __init__(self, A, B, C, G=None):
+        self.A, self.B, self.C = (np.asarray(v, dtype=float) for v in (A, B, C))
+        self.G = np.zeros_like(self.B) if G is None else np.asarray(G, dtype=float)
+
+    def fractional_columns(self, alpha):
+        return self.B, self.G
+
+
 def fit(ms, fam, alpha):
     mom = measurement_moments(ms, fam)
-    sys1 = assemble_theorem1(mom, alpha)
-    nu, d, _ = solve_2col_least_squares(sys1)
-    return nu, d, sys1, mom
+    return linearize(mom, alpha), mom
 
 
-def J_of(lin, sys1):
-    return float(np.sum((lin.K - sys1.C_col) ** 2))
+def J_of(lin, mom):
+    return float(np.sum((lin.K - mom.C) ** 2))
 
 
 class TestTrapezoid:
@@ -60,20 +67,18 @@ class TestTrapezoid:
 
 class TestSolve2Col:
     def test_identity_matrix_unpacking(self):
-        sys = LinearSystem(np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-                           np.array([-2.0, 3.0]), 1.0)
-        nu, d, cond = solve_2col_least_squares(sys)
+        lin = linearize(Columns([1.0, 0.0], [0.0, 1.0], [-2.0, 3.0]), 1.8)
         # rows read nu*A + d*B = C
-        assert nu == pytest.approx(-2.0)
-        assert d == pytest.approx(3.0)
-        assert cond == pytest.approx(1.0)
+        assert lin.nu == pytest.approx(-2.0)
+        assert lin.d == pytest.approx(3.0)
+        assert lin.cond == pytest.approx(1.0)
 
     def test_consistent_square_system_zero_residual(self):
         A = np.array([1.0, 2.0])
         B = np.array([3.0, -1.0])
         C = 0.7 * A + 1.3 * B
-        nu, d, _ = solve_2col_least_squares(LinearSystem(A, B, C, 1.0))
-        resid = nu * A + d * B - C
+        lin = linearize(Columns(A, B, C), 1.8)
+        resid = lin.nu * A + lin.d * B - C
         assert np.abs(resid).max() <= 1e-12 * np.abs(C).max()
 
     def test_synthetic_rows_exact_recovery(self):
@@ -81,57 +86,54 @@ class TestSolve2Col:
         A = rng.normal(size=5)
         B = rng.normal(size=5)
         C = 0.2 * A + 1.0 * B
-        nu, d, _ = solve_2col_least_squares(LinearSystem(A, B, C, 1.0))
-        assert nu == pytest.approx(0.2, rel=1e-12)
-        assert d == pytest.approx(1.0, rel=1e-12)
+        lin = linearize(Columns(A, B, C), 1.8)
+        assert lin.nu == pytest.approx(0.2, rel=1e-12)
+        assert lin.d == pytest.approx(1.0, rel=1e-12)
 
     def test_rank_deficient(self):
         A = np.array([1.0, 2.0, 3.0])
         with pytest.raises(RankDeficientError):
-            solve_2col_least_squares(LinearSystem(A, 2 * A, A, 1.0))
-
-    def test_several_right_hand_sides(self):
-        A = np.array([1.0, 2.0, 0.5])
-        B = np.array([3.0, -1.0, 2.0])
-        sys = LinearSystem(A, B, 0.7 * A + 1.3 * B, 1.0)
-        nu, d, _ = solve_2col_least_squares(sys, np.column_stack([sys.C_col, -0.2 * A + 4 * B]))
-        np.testing.assert_allclose(nu, [0.7, -0.2], rtol=1e-12)
-        np.testing.assert_allclose(d, [1.3, 4.0], rtol=1e-12)
+            linearize(Columns(A, 2 * A, A), 1.8)
 
     def test_all_zero_system(self):
         z = np.zeros(3)
         with pytest.raises(RankDeficientError):
-            solve_2col_least_squares(LinearSystem(z, z, z, np.inf))
+            linearize(Columns(z, z, z), 1.8)
+
+    def test_cond_matches_numpy(self, clean_13501):
+        mom = measurement_moments(clean_13501, build_family(5, 3, 9.0))
+        B, _ = mom.fractional_columns(1.6)
+        ref = np.linalg.cond(np.column_stack([mom.A, B]))
+        assert linearize(mom, 1.6).cond == pytest.approx(ref, rel=1e-12)
 
 
 class TestAssembleTheorem1:
     def test_noise_free_recovery(self, clean_13501, fam3):
-        nu, d, _, _ = fit(clean_13501, fam3, 1.8)
-        assert abs(nu - 0.2) / 0.2 <= 1e-3
-        assert abs(d - 1.0) <= 1e-3
+        lin, _ = fit(clean_13501, fam3, 1.8)
+        assert abs(lin.nu - 0.2) / 0.2 <= 1e-3
+        assert abs(lin.d - 1.0) <= 1e-3
 
     def test_degenerate_zero_measurements(self, fam3):
         ms = restrict(synthesize(CANONICAL, 1351), 9.0)
         zero = replace(ms, c=0 * ms.c, dcdt=0 * ms.dcdt, r=0 * ms.r,
                        c_noisy=0 * ms.c, dcdt_noisy=0 * ms.dcdt)
-        sys1 = assemble_theorem1(measurement_moments(zero, fam3), 1.8)
-        assert np.all(sys1.A_col == 0) and np.all(sys1.B_col == 0) and np.all(sys1.C_col == 0)
+        mom = measurement_moments(zero, fam3)
+        B, _ = mom.fractional_columns(1.8)
+        assert np.all(mom.A == 0) and np.all(B == 0) and np.all(mom.C == 0)
         with pytest.raises(RankDeficientError):
-            solve_2col_least_squares(sys1)
+            linearize(mom, 1.8)
 
     def test_homogeneity(self, fam3):
         ms = restrict(synthesize(CANONICAL, 1351), 9.0)
         doubled = replace(ms, c=2 * ms.c, dcdt=2 * ms.dcdt, r=2 * ms.r,
                           c_noisy=2 * ms.c_noisy, dcdt_noisy=2 * ms.dcdt_noisy)
-        s1 = assemble_theorem1(measurement_moments(ms, fam3), 1.8)
-        s2 = assemble_theorem1(measurement_moments(doubled, fam3), 1.8)
-        np.testing.assert_allclose(s2.A_col, 2 * s1.A_col, rtol=1e-14)
-        np.testing.assert_allclose(s2.B_col, 2 * s1.B_col, rtol=1e-14)
-        np.testing.assert_allclose(s2.C_col, 2 * s1.C_col, rtol=1e-14)
-        np.testing.assert_allclose(s2.G_col, 2 * s1.G_col, rtol=1e-14)
-        assert solve_2col_least_squares(s2)[:2] == pytest.approx(
-            solve_2col_least_squares(s1)[:2], rel=1e-12
-        )
+        m1 = measurement_moments(ms, fam3)
+        m2 = measurement_moments(doubled, fam3)
+        np.testing.assert_allclose(m2.A, 2 * m1.A, rtol=1e-14)
+        np.testing.assert_allclose(m2.C, 2 * m1.C, rtol=1e-14)
+        for got, ref in zip(m2.fractional_columns(1.8), m1.fractional_columns(1.8)):
+            np.testing.assert_allclose(got, 2 * ref, rtol=1e-14)
+        assert linearize(m2, 1.8)[:2] == pytest.approx(linearize(m1, 1.8)[:2], rel=1e-12)
 
     def test_grid_mismatch_rejected(self, fam3):
         # the family lives on [0, 9]; measurements restricted to [0, 5] do not span it
@@ -140,70 +142,67 @@ class TestAssembleTheorem1:
             measurement_moments(ms, fam3)
 
     def test_row_permutation_leaves_solution_unchanged(self, clean_13501, fam3):
-        _, _, sys1, _ = fit(clean_13501, fam3, 1.8)
+        lin, mom = fit(clean_13501, fam3, 1.8)
         perm = [2, 0, 1]
-        permuted = LinearSystem(sys1.A_col[perm], sys1.B_col[perm],
-                                sys1.C_col[perm], sys1.cond_estimate)
-        assert solve_2col_least_squares(permuted)[:2] == pytest.approx(
-            solve_2col_least_squares(sys1)[:2], rel=1e-12
-        )
+        B, G = mom.fractional_columns(1.8)
+        permuted = Columns(mom.A[perm], B[perm], mom.C[perm], G[perm])
+        assert linearize(permuted, 1.8)[:2] == pytest.approx(lin[:2], rel=1e-12)
 
     def test_convergence_rate_in_grid(self, fam3):
         errs = []
         for M in (13501, 27001):
             ms = restrict(synthesize(CANONICAL, M), 9.0)
-            nu, d, _, _ = fit(ms, fam3, 1.8)
-            errs.append(abs(nu - 0.2) / 0.2 + abs(d - 1.0))
+            lin, _ = fit(ms, fam3, 1.8)
+            errs.append(abs(lin.nu - 0.2) / 0.2 + abs(lin.d - 1.0))
         assert errs[1] <= errs[0] / 2
 
     def test_non_finite_column_rejected(self):
         with pytest.raises(ValueError):
-            LinearSystem(np.ones(3), np.ones(3), np.ones(3), 1.0, np.array([0.0, np.nan, 1.0]))
+            linearize(Columns(np.ones(3), np.ones(3), np.ones(3), np.array([0.0, np.nan, 1.0])), 1.8)
 
 
 class TestProp1:
     """The derivative system [A B] (dnu, dd) = -d*G, solved by linearize."""
 
     def test_derivative_solve_matches_lstsq(self, clean_13501, fam3):
-        _, _, sys1, _ = fit(clean_13501, fam3, 1.75)
-        lin = linearize(sys1)
-        mat = np.column_stack([sys1.A_col, sys1.B_col])
-        ref = np.linalg.lstsq(mat, -lin.d * sys1.G_col, rcond=None)[0]
+        lin, mom = fit(clean_13501, fam3, 1.75)
+        B, G = mom.fractional_columns(1.75)
+        ref = np.linalg.lstsq(np.column_stack([mom.A, B]), -lin.d * G, rcond=None)[0]
         np.testing.assert_allclose([lin.dnu, lin.dd], ref, rtol=1e-10)
 
     def test_zero_dispersion_gives_zero_solution(self, clean_13501, fam3):
-        _, _, sys1, _ = fit(clean_13501, fam3, 1.8)
-        lin = linearize(replace(sys1, C_col=np.zeros_like(sys1.C_col)))
+        mom = measurement_moments(clean_13501, fam3)
+        B, G = mom.fractional_columns(1.8)
+        lin = linearize(Columns(mom.A, B, np.zeros_like(mom.C), G), 1.8)
         assert lin.d == 0.0
         assert lin.dnu == 0.0 and lin.dd == 0.0
         assert np.all(lin.Kp == 0.0)
 
     def test_finite_difference_oracle(self, clean_13501, fam3):
         alpha, h = 1.8, 1e-4
-        lin = linearize(fit(clean_13501, fam3, alpha)[2])
-        nu_p, d_p = fit(clean_13501, fam3, alpha + h)[:2]
-        nu_m, d_m = fit(clean_13501, fam3, alpha - h)[:2]
-        fd_nu = (nu_p - nu_m) / (2 * h)
-        fd_d = (d_p - d_m) / (2 * h)
+        mom = measurement_moments(clean_13501, fam3)
+        lin, lin_p, lin_m = (linearize(mom, a) for a in (alpha, alpha + h, alpha - h))
+        fd_nu = (lin_p.nu - lin_m.nu) / (2 * h)
+        fd_d = (lin_p.d - lin_m.d) / (2 * h)
         assert abs(lin.dnu - fd_nu) <= 1e-3 * abs(fd_nu)
         assert abs(lin.dd - fd_d) <= 1e-3 * abs(fd_d)
 
 
 class TestResidualKU:
     def test_equals_least_squares_residual(self, clean_13501, fam3):
-        nu, d, sys1, _ = fit(clean_13501, fam3, 1.75)
-        lin = linearize(sys1)
-        lsq = nu * sys1.A_col + d * sys1.B_col - sys1.C_col
-        assert np.abs((lin.K - sys1.C_col) - lsq).max() <= 1e-12 * max(np.abs(lsq).max(), 1e-300)
+        lin, mom = fit(clean_13501, fam3, 1.75)
+        B, _ = mom.fractional_columns(1.75)
+        nu, d = np.linalg.lstsq(np.column_stack([mom.A, B]), mom.C, rcond=None)[0]
+        lsq = nu * mom.A + d * B - mom.C
+        assert np.abs((lin.K - mom.C) - lsq).max() <= 1e-12 * max(np.abs(lsq).max(), 1e-300)
 
     def test_small_at_truth(self, clean_13501, fam3):
-        sys1 = fit(clean_13501, fam3, 1.8)[2]
-        assert J_of(linearize(sys1), sys1) <= 1e-6 * float(np.sum(sys1.C_col**2))
+        lin, mom = fit(clean_13501, fam3, 1.8)
+        assert J_of(lin, mom) <= 1e-6 * float(np.sum(mom.C**2))
 
     def test_larger_away_from_truth(self, clean_13501, fam3):
         def J(alpha):
-            sys1 = fit(clean_13501, fam3, alpha)[2]
-            return J_of(linearize(sys1), sys1)
+            return J_of(*fit(clean_13501, fam3, alpha))
 
         assert J(1.8) < J(1.6)
         assert J(1.8) < J(2.0)
@@ -224,25 +223,21 @@ class TestGradientKprime:
     def test_finite_difference_oracle(self, clean_13501, fam3, alpha, tol):
         h = 1e-4
         mom = measurement_moments(clean_13501, fam3)
-
-        def lin_at(a):
-            return linearize(assemble_theorem1(mom, a))
-
-        fd = (lin_at(alpha + h).K - lin_at(alpha - h).K) / (2 * h)
-        assert np.abs(lin_at(alpha).Kp - fd).max() <= tol * np.abs(fd).max()
+        fd = (linearize(mom, alpha + h).K - linearize(mom, alpha - h).K) / (2 * h)
+        assert np.abs(linearize(mom, alpha).Kp - fd).max() <= tol * np.abs(fd).max()
 
     def test_zero_when_all_derivative_inputs_vanish(self, clean_13501, fam3):
-        _, _, sys1, _ = fit(clean_13501, fam3, 1.8)
-        lin = linearize(replace(sys1, G_col=np.zeros_like(sys1.G_col)))
+        mom = measurement_moments(clean_13501, fam3)
+        B, _ = mom.fractional_columns(1.8)
+        lin = linearize(Columns(mom.A, B, mom.C), 1.8)
         assert lin.dnu == 0.0 and lin.dd == 0.0
         assert np.all(lin.Kp == 0.0)
 
     def test_descent_direction_from_below(self, fam3):
         # starting below the true order, the Gauss-Newton step must increase alpha
         ms = restrict(synthesize(TABLE1, 13501), 9.0)
-        sys1 = fit(ms, fam3, 1.4)[2]
-        lin = linearize(sys1)
-        step = float(lin.Kp @ (sys1.C_col - lin.K)) / float(lin.Kp @ lin.Kp)
+        lin, mom = fit(ms, fam3, 1.4)
+        step = float(lin.Kp @ (mom.C - lin.K)) / float(lin.Kp @ lin.Kp)
         assert step > 0
 
 
@@ -295,6 +290,21 @@ class TestNewtonEstimate:
         assert abs(d - 1.0) <= 1e-3
         assert cond >= 1.0
 
+    def test_non_finite_sample_rejected(self):
+        ms = synthesize(TABLE1, 4501, noise_level=0.02, seed=0)
+        c = ms.c_noisy.copy()
+        c[1000] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            estimate_two_param(replace(ms, c_noisy=c), EstimatorConfig(L1=9.0, N=3, b=3), 1.8)
+
+    def test_non_uniform_grid_rejected(self):
+        ms = synthesize(TABLE1, 4501, noise_level=0.02, seed=0)
+        jitter = np.random.default_rng(0).uniform(-0.3, 0.3, len(ms.x))
+        jitter[[0, 1, -1]] = 0.0  # keep the ends and the first spacing, which restrict() reads
+        x = ms.x + jitter * (ms.x[1] - ms.x[0])
+        with pytest.raises(ValueError, match="uniform"):
+            estimate_two_param(replace(ms, x=x), EstimatorConfig(L1=9.0, N=3, b=3), 1.8)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -305,6 +315,7 @@ class TestConfigValidation:
             {"epsilon": -1.0},
             {"L1": 0.0},
             {"step_clamp": 0.0},
+            {"max_iter": -1},
         ],
     )
     def test_invalid_config(self, kwargs):
