@@ -5,9 +5,6 @@ concentration and flux measurements."""
 from .fracpoly import (
     Polynomial,
     FracExpansion,
-    gamma,
-    digamma,
-    rgamma,
     rl_derivative,
     rl_alpha_sensitivity,
 )

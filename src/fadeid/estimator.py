@@ -66,37 +66,32 @@ class Linearization(NamedTuple):
     cond: float     # 2-norm condition number of [A B]
 
 
+#: largest |alpha step| of one Gauss-Newton update
+STEP_CLAMP = 0.2
+# alpha steps jitter at ~1e-7 from rounding in the large-magnitude
+# integrals; anything below 1e-6 is numerically indistinguishable
+ALPHA_TOL = 1e-6
+
+
 @dataclass
 class EstimatorConfig:
     """Knobs for the two-stage estimator.
 
-    ``M`` is the synthesis grid-point count on [0, L] used by the
-    experiment runner; the estimator itself always integrates on the
-    measurement grid restricted to [0, L1] (L1 snapped to the nearest
-    node), never on a resampled grid.
+    The estimator integrates on the measurement grid restricted to [0, L1]
+    (L1 snapped to the nearest node), never on a resampled grid.
     """
 
     L1: float = 9.0
     N: int = 3
     b: int = 3
-    M: int | None = None
     alpha0: float = 1.4
-    epsilon: float | None = None  # default: 1e-10 * ||U||^2, fixed at start
     max_iter: int = 50
-    step_clamp: float = 0.2
-    # alpha steps jitter at ~1e-7 from rounding in the large-magnitude
-    # integrals; anything below 1e-6 is numerically indistinguishable
-    alpha_tol: float = 1e-6
 
     def __post_init__(self):
         if not 1.0 < self.alpha0 <= 2.0:
             raise ValueError(f"alpha0 must be in (1, 2], got {self.alpha0}")
-        if self.epsilon is not None and self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
         if self.L1 <= 0:
             raise ValueError("L1 must be positive")
-        if self.step_clamp <= 0:
-            raise ValueError("step_clamp must be positive")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 
@@ -171,18 +166,12 @@ def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResu
     The moments of the restricted measurements are built once; each iterate
     calls :func:`linearize` at the current alpha, then takes a clamped
     scalar Gauss-Newton step dalpha = <K', U - K> / <K', K'> projected into
-    (1 + 1e-6, 2].  Stops when J = ||K - U||^2 falls below epsilon, when
-    the alpha step stagnates below alpha_tol (stationary point), or at
-    max_iter (flagged not converged, best iterate returned).
-
-    J < epsilon needs rows that (nu, d, alpha) can fit exactly: noise-free
-    data at any N, or N = 3, where three rows fix the three unknowns.  On
-    noisy data with N > 3 the noise floor keeps J above epsilon, and the
-    alpha-step test stops the loop.
+    (1 + 1e-6, 2].  Stops when the alpha step falls below ALPHA_TOL
+    (converged, stationary point), or at max_iter (flagged not converged);
+    the iterate of least J = ||K - U||^2 is returned.
     """
     mom = _moments(ms, config)
     U = mom.C
-    eps = config.epsilon if config.epsilon is not None else 1e-10 * float(np.sum(U**2))
 
     alpha = float(config.alpha0)
     history: list[IterationRecord] = []
@@ -197,9 +186,6 @@ def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResu
         history.append(rec)
         if best is None or J < best[0]:
             best = (J, rec, lin.cond)
-        if J < eps:
-            converged, message = True, f"residual below epsilon={eps:.3e}"
-            break
         if k == config.max_iter:
             message = f"max_iter={config.max_iter} reached"
             break
@@ -210,11 +196,11 @@ def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResu
                 f"<K', K'> = {denom:.3e} at alpha={alpha}; cannot update"
             )
         step = float(lin.Kp @ (U - lin.K)) / denom
-        step = float(np.clip(step, -config.step_clamp, config.step_clamp))
+        step = float(np.clip(step, -STEP_CLAMP, STEP_CLAMP))
         new_alpha = float(np.clip(alpha + step, 1.0 + 1e-6, 2.0))
-        if abs(new_alpha - alpha) < config.alpha_tol:
+        if abs(new_alpha - alpha) < ALPHA_TOL:
             converged = True
-            message = f"alpha step stagnated below {config.alpha_tol:.1e} (stationary point)"
+            message = f"alpha step stagnated below {ALPHA_TOL:.1e} (stationary point)"
             break
         alpha = new_alpha
 

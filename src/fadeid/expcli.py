@@ -22,6 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace, field
 from itertools import product
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
@@ -42,6 +43,8 @@ class ExperimentSpec:
     L1_list: list[float] = field(default_factory=lambda: [9.0])
     seeds: list[int] = field(default_factory=lambda: [0])
     output_dir: str = "results"
+    #: synthesis grid size on [0, L]; default spacing is 1/1500
+    grid_points: int | None = None
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -49,13 +52,8 @@ class ExperimentSpec:
         for name in ("noise_levels", "n_list", "L1_list", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"sweep list '{name}' must be non-empty")
-
-    @property
-    def grid_points(self) -> int:
-        """Synthesis grid size on [0, L]; default spacing is 1/1500."""
-        if self.estimator.M is not None:
-            return self.estimator.M
-        return int(round(self.truth.L * 1500)) + 1
+        if self.grid_points is None:
+            self.grid_points = int(round(self.truth.L * 1500)) + 1
 
 
 @dataclass
@@ -78,21 +76,22 @@ class ResultRow:
 
 
 CSV_FIELDS = list(ResultRow.__dataclass_fields__)
-_FLOAT_FIELDS = {
-    "noise_level", "L1", "est_nu", "est_d", "est_alpha",
-    "err_nu", "err_d", "err_alpha", "err_combined",
-}
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     data = dict(data)
     truth = TrueModel(**data.pop("truth", {}))
     est_raw = dict(data.pop("estimator", {}))
+    for name, sweep in (("N", "n_list"), ("L1", "L1_list")):
+        if name in est_raw:
+            raise ValueError(f"estimator.{name} is swept; set '{sweep}' instead")
+    # the grid size on [0, L] is spelled in the estimator section, as M or
+    # as the spacing dx
+    if "M" in est_raw:
+        data["grid_points"] = est_raw.pop("M")
     if "dx" in est_raw:
-        # spacing is a convenience alias for the grid-point count on [0, L]
-        est_raw["M"] = int(round(truth.L / est_raw.pop("dx"))) + 1
-    estimator = EstimatorConfig(**est_raw)
-    return ExperimentSpec(truth=truth, estimator=estimator, **data)
+        data["grid_points"] = int(round(truth.L / est_raw.pop("dx"))) + 1
+    return ExperimentSpec(truth=truth, estimator=EstimatorConfig(**est_raw), **data)
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -106,7 +105,7 @@ def _run_cell(args) -> ResultRow:
     truth = spec.truth
     try:
         ms = synthesize(truth, spec.grid_points, noise_level=noise, seed=seed)
-        cfg = replace(spec.estimator, N=n, L1=L1, M=spec.grid_points)
+        cfg = replace(spec.estimator, N=n, L1=L1)
         if spec.mode == "two-param":
             nu, d, _ = estimate_two_param(ms, cfg, truth.alpha)
             row.est_nu, row.est_d, row.est_alpha = nu, d, truth.alpha
@@ -170,36 +169,17 @@ def write_rows(rows: list[ResultRow], path) -> None:
 
 
 def read_rows(path) -> list[ResultRow]:
-    out = []
+    types = get_type_hints(ResultRow)
+    parse = {f: (lambda v: v == "True") if t is bool else t for f, t in types.items()}
     with open(path, newline="") as fh:
-        for rec in csv.DictReader(fh):
-            kwargs = {}
-            for f, v in rec.items():
-                if f in _FLOAT_FIELDS:
-                    kwargs[f] = float(v)
-                elif f in ("cell_index", "n_funcs", "seed", "iterations"):
-                    kwargs[f] = int(v)
-                elif f == "converged":
-                    kwargs[f] = v == "True"
-                else:
-                    kwargs[f] = v
-            out.append(ResultRow(**kwargs))
-    return out
+        return [
+            ResultRow(**{f: parse[f](v) for f, v in rec.items()})
+            for rec in csv.DictReader(fh)
+        ]
 
 
 def write_manifest(spec: ExperimentSpec, path) -> None:
-    data = {
-        "fadeid_version": __version__,
-        "truth": asdict(spec.truth),
-        "estimator": asdict(spec.estimator),
-        "mode": spec.mode,
-        "noise_levels": list(spec.noise_levels),
-        "n_list": list(spec.n_list),
-        "L1_list": list(spec.L1_list),
-        "seeds": list(spec.seeds),
-        "output_dir": str(spec.output_dir),
-        "grid_points": spec.grid_points,
-    }
+    data = {"fadeid_version": __version__, **asdict(spec)}
     with open(path, "w") as fh:
         yaml.safe_dump(data, fh, sort_keys=False)
 

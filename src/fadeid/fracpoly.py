@@ -26,31 +26,6 @@ ALPHA_MIN = 0.0
 ALPHA_MAX = 2.0
 
 
-def _is_pole(z: float) -> bool:
-    return z <= 0.0 and float(z).is_integer()
-
-
-def gamma(z: float) -> float:
-    """Gamma function; raises ValueError at the poles (non-positive integers)."""
-    if _is_pole(z):
-        raise ValueError(f"gamma pole at z={z}")
-    return float(special.gamma(z))
-
-
-def rgamma(z: float) -> float:
-    """Reciprocal Gamma, 1/Gamma(z).  Total: returns 0.0 at the poles."""
-    if _is_pole(z):
-        return 0.0
-    return float(special.rgamma(z))
-
-
-def digamma(z: float) -> float:
-    """Digamma (logarithmic derivative of Gamma); raises ValueError at poles."""
-    if _is_pole(z):
-        raise ValueError(f"digamma pole at z={z}")
-    return float(special.psi(z))
-
-
 def _check_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not ALPHA_MIN < alpha <= ALPHA_MAX:
@@ -175,7 +150,7 @@ def rl_derivative(p: Polynomial, alpha: float) -> FracExpansion:
     """
     alpha = _check_alpha(alpha)
     coeffs = tuple(
-        c * math.gamma(k + 1) * rgamma(k + 1 - alpha)
+        c * math.gamma(k + 1) * special.rgamma(k + 1 - alpha)
         for k, c in enumerate(p.coeffs)
     )
     return FracExpansion(alpha, coeffs)
@@ -198,8 +173,8 @@ def rl_alpha_sensitivity(p: Polynomial, alpha: float):
             raise ValueError(
                 f"monomial power {k} violates k - alpha > 0 (alpha={alpha})"
             )
-    q = [c * math.gamma(k + 1) * rgamma(k + 1 - alpha) for k, c in enumerate(p.coeffs)]
-    s = [qk * digamma(k + 1 - alpha) if qk != 0.0 else 0.0 for k, qk in enumerate(q)]
+    q = [c * math.gamma(k + 1) * special.rgamma(k + 1 - alpha) for k, c in enumerate(p.coeffs)]
+    s = [qk * special.psi(k + 1 - alpha) if qk != 0.0 else 0.0 for k, qk in enumerate(q)]
 
     def evaluate(x):
         x = np.asarray(x, dtype=float)

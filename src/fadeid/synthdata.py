@@ -72,7 +72,8 @@ class MeasurementSet:
 
     @property
     def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
+        """Mean node spacing; uniformity is checked where the samples are integrated."""
+        return float(self.x[-1] - self.x[0]) / (len(self.x) - 1)
 
 
 def exact_solution(model: TrueModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -300,10 +300,28 @@ class TestNewtonEstimate:
     def test_non_uniform_grid_rejected(self):
         ms = synthesize(TABLE1, 4501, noise_level=0.02, seed=0)
         jitter = np.random.default_rng(0).uniform(-0.3, 0.3, len(ms.x))
-        jitter[[0, 1, -1]] = 0.0  # keep the ends and the first spacing, which restrict() reads
+        jitter[[0, -1]] = 0.0  # keep the ends
         x = ms.x + jitter * (ms.x[1] - ms.x[0])
         with pytest.raises(ValueError, match="uniform"):
             estimate_two_param(replace(ms, x=x), EstimatorConfig(L1=9.0, N=3, b=3), 1.8)
+
+    @pytest.mark.parametrize("scale", [0.7, 1.3])
+    def test_uneven_first_spacing_rejected(self, scale):
+        ms = synthesize(TABLE1, 4501, noise_level=0.02, seed=0)
+        x = ms.x.copy()
+        x[1] *= scale
+        with pytest.raises(ValueError, match="uniform"):
+            estimate_two_param(replace(ms, x=x), EstimatorConfig(L1=9.0, N=3, b=3), 1.8)
+
+    def test_noise_free_exact_rows_converge_fully(self):
+        # three rows fit (nu, d, alpha) exactly, so J can be tiny long before
+        # alpha has settled; only the alpha-step test may end the run
+        ms = synthesize(TABLE1, 4501)
+        res = newton_estimate(ms, EstimatorConfig(L1=9.0, N=3, b=3, alpha0=1.99))
+        assert res.converged
+        assert abs(res.nu - 0.5) / 0.5 <= 1e-6
+        assert abs(res.d - 1.0) <= 1e-6
+        assert abs(res.alpha - 1.8) / 1.8 <= 1e-6
 
 
 class TestConfigValidation:
@@ -312,9 +330,7 @@ class TestConfigValidation:
         [
             {"alpha0": 1.0},
             {"alpha0": 2.3},
-            {"epsilon": -1.0},
             {"L1": 0.0},
-            {"step_clamp": 0.0},
             {"max_iter": -1},
         ],
     )

@@ -49,7 +49,12 @@ class TestSpecConstruction:
 
     def test_dx_alias(self):
         spec = spec_from_dict({"truth": {"L": 9.0}, "estimator": {"dx": 0.01}})
-        assert spec.estimator.M == 901
+        assert spec.grid_points == 901
+
+    @pytest.mark.parametrize("key,sweep", [("N", "n_list"), ("L1", "L1_list")])
+    def test_swept_estimator_keys_rejected(self, key, sweep):
+        with pytest.raises(ValueError, match=sweep):
+            spec_from_dict({"estimator": {key: 5}})
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -62,7 +67,7 @@ class TestSpecConstruction:
     def test_load_yaml(self, tmp_path):
         spec = load_spec(write_cfg(tmp_path, FAST))
         assert spec.truth.nu == 0.5
-        assert spec.estimator.M == 2701
+        assert spec.grid_points == 2701
 
     def test_load_empty_yaml(self, tmp_path):
         p = tmp_path / "empty.yaml"

@@ -2,8 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import rgamma
 
-from fadeid.fracpoly import rgamma
 from fadeid.synthdata import (
     TrueModel,
     MeasurementSet,
