@@ -3,7 +3,6 @@ for a space fractional advection-dispersion equation from final-time
 concentration and flux measurements."""
 
 from .fracpoly import (
-    Polynomial,
     FracExpansion,
     rl_derivative,
     rl_alpha_sensitivity,
@@ -24,7 +23,6 @@ from .estimator import (
     RankDeficientError,
     GradientDegenerateError,
     Linearization,
-    trapezoid,
     measurement_moments,
     linearize,
     estimate_two_param,

@@ -90,8 +90,8 @@ class EstimatorConfig:
     def __post_init__(self):
         if not 1.0 < self.alpha0 <= 2.0:
             raise ValueError(f"alpha0 must be in (1, 2], got {self.alpha0}")
-        if self.L1 <= 0:
-            raise ValueError("L1 must be positive")
+        if not (np.isfinite(self.L1) and self.L1 > 0):
+            raise ValueError(f"L1 must be positive and finite, got {self.L1}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 
@@ -106,14 +106,6 @@ class EstimateResult:
     residual_final: float = np.inf
     cond_estimate: float = np.nan
     message: str = ""
-
-
-def trapezoid(values: np.ndarray, dx: float) -> float:
-    """Composite trapezoidal rule on uniformly spaced samples."""
-    values = np.asarray(values, dtype=float)
-    if len(values) < 2:
-        raise ValueError("need at least 2 samples")
-    return float(dx * (values.sum() - 0.5 * (values[0] + values[-1])))
 
 
 def measurement_moments(ms: MeasurementSet, fam: ModulatingFamily) -> DataMoments:

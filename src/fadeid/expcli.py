@@ -87,6 +87,8 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             raise ValueError(f"estimator.{name} is swept; set '{sweep}' instead")
     # the grid size on [0, L] is spelled in the estimator section, as M or
     # as the spacing dx
+    if "M" in est_raw and "dx" in est_raw:
+        raise ValueError("estimator: give the grid as M or as dx, not both")
     if "M" in est_raw:
         data["grid_points"] = est_raw.pop("M")
     if "dx" in est_raw:

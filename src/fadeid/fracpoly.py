@@ -1,4 +1,4 @@
-"""Polynomial algebra with closed-form Riemann-Liouville fractional derivatives.
+"""Closed-form Riemann-Liouville fractional derivatives of polynomials.
 
 A monomial maps through the fractional derivative of order ``a`` as
 
@@ -9,7 +9,9 @@ The expansion stores the integer powers k together with a single shared
 order, which keeps exponent bookkeeping exact: no floating-point exponent
 ever needs to be compared for equality.
 
-All objects are immutable; every function here is pure.
+Polynomials are :class:`numpy.polynomial.Polynomial` objects with the
+default domain and window, so ``p.coef[k]`` multiplies x^k.  All objects
+defined here are immutable; every function here is pure.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import polynomial as npp
+from numpy.polynomial import Polynomial, polynomial as npp
 from scipy import special
 
 #: Supported fractional order range (exclusive lower bound).
@@ -31,69 +33,6 @@ def _check_alpha(alpha: float) -> float:
     if not ALPHA_MIN < alpha <= ALPHA_MAX:
         raise ValueError(f"fractional order must be in (0, 2], got {alpha}")
     return alpha
-
-
-@dataclass(frozen=True)
-class Polynomial:
-    """Real polynomial over the monomial basis, coefficients in ascending power."""
-
-    coeffs: tuple[float, ...]
-
-    def __post_init__(self):
-        c = tuple(float(v) for v in self.coeffs)
-        while len(c) > 1 and c[-1] == 0.0:
-            c = c[:-1]
-        if not c:
-            c = (0.0,)
-        object.__setattr__(self, "coeffs", c)
-
-    @staticmethod
-    def monomial(power: int, coeff: float = 1.0) -> "Polynomial":
-        return Polynomial((0.0,) * power + (coeff,))
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        return npp.polyval(x, self.coeffs)
-
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(npp.polyadd(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(npp.polysub(self.coeffs, other.coeffs)))
-
-    def scale(self, s: float) -> "Polynomial":
-        return Polynomial(tuple(s * c for c in self.coeffs))
-
-    def __mul__(self, other: "Polynomial") -> "Polynomial":
-        return Polynomial(tuple(npp.polymul(self.coeffs, other.coeffs)))
-
-    def __pow__(self, n: int) -> "Polynomial":
-        if n < 0:
-            raise ValueError("negative polynomial power")
-        out = Polynomial((1.0,))
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def derivative(self) -> "Polynomial":
-        if self.degree == 0:
-            return Polynomial((0.0,))
-        return Polynomial(tuple(npp.polyder(self.coeffs)))
-
-    def shift_reflect(self, L1: float) -> "Polynomial":
-        """The polynomial x -> p(L1 - x), expanded in the monomial basis."""
-        lin = Polynomial((float(L1), -1.0))
-        out = Polynomial((0.0,))
-        for c in reversed(self.coeffs):
-            out = out * lin + Polynomial((c,))
-        return out
 
 
 @dataclass(frozen=True)
@@ -151,7 +90,7 @@ def rl_derivative(p: Polynomial, alpha: float) -> FracExpansion:
     alpha = _check_alpha(alpha)
     coeffs = tuple(
         c * math.gamma(k + 1) * special.rgamma(k + 1 - alpha)
-        for k, c in enumerate(p.coeffs)
+        for k, c in enumerate(p.coef)
     )
     return FracExpansion(alpha, coeffs)
 
@@ -168,12 +107,12 @@ def rl_alpha_sensitivity(p: Polynomial, alpha: float):
     coefficient satisfies k - alpha > 0 (required here).
     """
     alpha = _check_alpha(alpha)
-    for k, c in enumerate(p.coeffs):
+    for k, c in enumerate(p.coef):
         if c != 0.0 and k - alpha <= 0.0:
             raise ValueError(
                 f"monomial power {k} violates k - alpha > 0 (alpha={alpha})"
             )
-    q = [c * math.gamma(k + 1) * special.rgamma(k + 1 - alpha) for k, c in enumerate(p.coeffs)]
+    q = [c * math.gamma(k + 1) * special.rgamma(k + 1 - alpha) for k, c in enumerate(p.coef)]
     s = [qk * special.psi(k + 1 - alpha) if qk != 0.0 else 0.0 for k, qk in enumerate(q)]
 
     def evaluate(x):

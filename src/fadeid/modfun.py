@@ -35,9 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial import Polynomial
 from scipy import special
-
-from .fracpoly import Polynomial
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,12 @@ def build_family(N: int, b: int, L1: float) -> ModulatingFamily:
     if L1 <= 0:
         raise ValueError(f"interval length must be positive, got L1={L1}")
     L1 = float(L1)
-    right = Polynomial((L1, -1.0))
+    right = Polynomial([L1, -1.0])
     members = []
     powers = []
     for n in range(1, N + 1):
         a, c = N + b + 1 - n, b + n
-        members.append(Polynomial.monomial(a) * right ** c)
+        members.append(Polynomial.basis(a) * right**c)
         powers.append((a, c))
     return ModulatingFamily(N, b, L1, tuple(members), tuple(powers))
 
@@ -107,7 +106,7 @@ class DataMoments:
 
         k0 = fam.b + 1  # lowest power with a nonzero coefficient in any member
         self.k = np.arange(k0, fam.degree + 1, dtype=float)
-        self.P = np.array([m.coeffs[k0:] for m in fam.members])
+        self.P = np.array([m.coef[k0:] for m in fam.members])
         self.xp = x[1:]
         self.log_x = np.log(self.xp)
         self.V = np.empty((len(self.k), M - 1))

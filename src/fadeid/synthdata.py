@@ -19,8 +19,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.polynomial import Polynomial
 
-from .fracpoly import Polynomial, rl_derivative
+from .fracpoly import rl_derivative
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class TrueModel:
 
     def spatial_factor(self) -> Polynomial:
         """The x(L-x) factor of the closed-form solution."""
-        return Polynomial((0.0, self.L, -1.0))
+        return Polynomial([0.0, self.L, -1.0])
 
 
 @dataclass(frozen=True)
@@ -66,6 +67,8 @@ class MeasurementSet:
 
     def __post_init__(self):
         n = len(self.x)
+        if n < 3:
+            raise ValueError(f"grid needs at least 3 points, got M={n}")
         for name in ("c", "dcdt", "r", "c_noisy", "dcdt_noisy"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"array length mismatch on '{name}'")
@@ -92,7 +95,7 @@ def source_term(model: TrueModel, x: np.ndarray) -> np.ndarray:
     out = np.zeros_like(x)
     pos = x > 0.0
     xp = x[pos]
-    out[pos] = st * p(xp) + model.nu * ct * p.derivative()(xp) - model.d * ct * frac(xp)
+    out[pos] = st * p(xp) + model.nu * ct * p.deriv()(xp) - model.d * ct * frac(xp)
     return out
 
 
@@ -100,8 +103,6 @@ def synthesize(
     model: TrueModel, M: int, noise_level: float = 0.0, seed: int = 0
 ) -> MeasurementSet:
     """Generate a measurement set on M uniform points spanning [0, L]."""
-    if M < 3:
-        raise ValueError(f"grid needs at least 3 points, got M={M}")
     x = np.linspace(0.0, model.L, M)
     c, dcdt = exact_solution(model, x)
     r = source_term(model, x)

@@ -7,7 +7,6 @@ from fadeid.synthdata import TrueModel, synthesize, restrict
 from fadeid.estimator import (
     EstimatorConfig,
     RankDeficientError,
-    trapezoid,
     measurement_moments,
     linearize,
     estimate_two_param,
@@ -47,22 +46,6 @@ def fit(ms, fam, alpha):
 
 def J_of(lin, mom):
     return float(np.sum((lin.K - mom.C) ** 2))
-
-
-class TestTrapezoid:
-    def test_constant(self):
-        assert trapezoid(np.ones(33), 9.0 / 32) == pytest.approx(9.0)
-
-    def test_linear_exact_two_points(self):
-        assert trapezoid(np.array([0.0, 1.0]), 1.0) == pytest.approx(0.5)
-
-    def test_quadratic(self):
-        x = np.linspace(0, 1, 1001)
-        assert trapezoid(x**2, x[1]) == pytest.approx(1 / 3, abs=1e-6)
-
-    def test_too_few_samples(self):
-        with pytest.raises(ValueError):
-            trapezoid(np.array([1.0]), 0.1)
 
 
 class TestSolve2Col:
@@ -332,6 +315,8 @@ class TestConfigValidation:
             {"alpha0": 2.3},
             {"L1": 0.0},
             {"max_iter": -1},
+            {"L1": float("nan")},
+            {"L1": float("inf")},
         ],
     )
     def test_invalid_config(self, kwargs):

@@ -51,6 +51,10 @@ class TestSpecConstruction:
         spec = spec_from_dict({"truth": {"L": 9.0}, "estimator": {"dx": 0.01}})
         assert spec.grid_points == 901
 
+    def test_grid_given_twice_rejected(self):
+        with pytest.raises(ValueError, match="not both"):
+            spec_from_dict({"estimator": {"M": 100, "dx": 0.1}})
+
     @pytest.mark.parametrize("key,sweep", [("N", "n_list"), ("L1", "L1_list")])
     def test_swept_estimator_keys_rejected(self, key, sweep):
         with pytest.raises(ValueError, match=sweep):

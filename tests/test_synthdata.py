@@ -72,7 +72,7 @@ class TestSourceTerm:
         p = model.spatial_factor()
         ct = math.cos(-model.T)
         dcdt = math.sin(-model.T) * p(x)
-        dcdx = ct * p.derivative()(x)
+        dcdx = ct * p.deriv()(x)
         dalpha_c = ct * rl_derivative(p, model.alpha)(x)
         r = source_term(model, x)
         resid = dcdt + model.nu * dcdx - model.d * dalpha_c - r
@@ -157,6 +157,13 @@ class TestCsvRoundTrip:
         path = tmp_path / "short.csv"
         path.write_text("x,c,dcdt,r,c_noisy,dcdt_noisy\n" + rows)
         with pytest.raises(ValueError):
+            from_csv(path)
+
+    def test_single_row_rejected(self, tmp_path):
+        # one sample has no node spacing: rejected on reading, before estimation
+        path = tmp_path / "one.csv"
+        path.write_text("x,c,dcdt,r,c_noisy,dcdt_noisy\n0,1,2,3,4,5\n")
+        with pytest.raises(ValueError, match="at least 3 points"):
             from_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
