@@ -165,6 +165,13 @@ def from_csv(path) -> MeasurementSet:
         header = fh.readline().rstrip("\r\n").split(",")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header}")
+        body = fh.tell()
+        # skip what loadtxt skips (blank and '#' comment lines) to find a row
+        while (line := fh.readline()) and not line.split("#", 1)[0].strip():
+            pass
+        if not line:
+            raise ValueError(f"{path}: CSV file has a header but no data rows")
+        fh.seek(body)
         cols = np.loadtxt(fh, delimiter=",", ndmin=2).T
     if len(cols) != len(CSV_HEADER):
         raise ValueError(f"expected {len(CSV_HEADER)} columns, got {len(cols)}")

@@ -54,6 +54,14 @@ class TestBuildFamily:
     def test_factored_powers_recorded(self, fam):
         assert fam.powers == ((6, 4), (5, 5), (4, 6))
 
+    def test_cached_family_shared(self):
+        assert build_family(3, 3, 9.0) is build_family(3, 3, 9.0)
+
+    def test_shared_coefficients_read_only(self, fam):
+        coef = fam.members[0].coef
+        with pytest.raises(ValueError):
+            coef[0] = coef[0]  # the same value: a writable family stays intact
+
 
 class TestEvaluateOnGrid:
     """The family sampled on a measurement grid, seen through the columns of
@@ -136,6 +144,26 @@ class TestDataMoments:
         for got, evaluator in ((B, rl_derivative), (G, rl_alpha_sensitivity)):
             ref = np.array([trapezoid(evaluator(m, alpha)(x) * c[::-1], dx=x[1]) for m in fam.members])
             assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+    @pytest.mark.parametrize("N", [3, 7, 11, 20])
+    def test_alpha_free_columns_match_longdouble(self, table1, N):
+        # the factored trapezoid sums of A and C, in extended precision
+        fam = build_family(N, 3, 9.0)
+        x, c, rhs = table1.x, table1.c_noisy, table1.dcdt_noisy - table1.r
+        mom = DataMoments(fam, x, c, rhs)
+        xl = x.astype(np.longdouble)
+        yl = np.longdouble(9.0) - xl
+        w = np.full(len(x), xl[1])
+        w[[0, -1]] /= 2
+        wc = w * c[::-1].astype(np.longdouble)
+        wr = w * rhs[::-1].astype(np.longdouble)
+        A_ref, C_ref = np.empty(N, np.longdouble), np.empty(N, np.longdouble)
+        for n, (a, e) in enumerate(fam.powers):
+            base = xl ** (a - 1) * yl ** (e - 1)
+            A_ref[n] = -np.sum(base * (a * yl - e * xl) * wc)
+            C_ref[n] = np.sum(base * xl * yl * wr)
+        for got, ref in ((mom.A, A_ref), (mom.C, C_ref)):
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestFractionalIntegrationByParts:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -165,6 +166,14 @@ class TestCsvRoundTrip:
         path.write_text("x,c,dcdt,r,c_noisy,dcdt_noisy\n0,1,2,3,4,5\n")
         with pytest.raises(ValueError, match="at least 3 points"):
             from_csv(path)
+
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("x,c,dcdt,r,c_noisy,dcdt_noisy\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                from_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
