@@ -2,11 +2,7 @@
 for a space fractional advection-dispersion equation from final-time
 concentration and flux measurements."""
 
-from .fracpoly import (
-    FracExpansion,
-    rl_derivative,
-    rl_alpha_sensitivity,
-)
+from .fracpoly import rl_derivative, rl_alpha_sensitivity
 from .modfun import ModulatingFamily, DataMoments, build_family
 from .synthdata import (
     TrueModel,

@@ -89,6 +89,8 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     # as the spacing dx
     if "M" in est_raw and "dx" in est_raw:
         raise ValueError("estimator: give the grid as M or as dx, not both")
+    if "grid_points" in data and ("M" in est_raw or "dx" in est_raw):
+        raise ValueError("give the grid as grid_points or in the estimator section, not both")
     if "M" in est_raw:
         data["grid_points"] = est_raw.pop("M")
     if "dx" in est_raw:
@@ -140,6 +142,7 @@ def run(spec: ExperimentSpec, workers: int | None = None, quiet: bool = False) -
     ]
     if workers is None:
         workers = 1 if len(cells) < 4 else len(os.sched_getaffinity(0))
+    workers = min(workers, len(cells))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_run_cell, cells, chunksize=1))

@@ -32,7 +32,8 @@ reference was 3-5 times larger.  The fractional column
 
 and its order-derivative G_n = dB_n/dalpha follow from the power rule
 D^alpha x^k = g_k x^(k-alpha), g_k = Gamma(k+1)/Gamma(k+1-alpha), with
-dg_k/dalpha = g_k psi(k+1-alpha).  Writing phi_n = sum_k P[n, k] x^k and
+dg_k/dalpha = g_k psi(k+1-alpha); :func:`fadeid.fracpoly.power_rule`
+gives g and psi.  Writing phi_n = sum_k P[n, k] x^k and
 
     m_k = sum_j w_j x_j^(k-alpha) c(L1-x_j),   l_k = the same with a ln(x_j) factor,
 
@@ -55,7 +56,8 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy import special
+
+from .fracpoly import power_rule
 
 
 @dataclass(frozen=True)
@@ -146,7 +148,6 @@ class DataMoments:
 
         k0 = fam.b + 1  # lowest power with a nonzero coefficient in any member
         self.k = np.arange(k0, fam.degree + 1, dtype=float)
-        self.gamma_k1 = special.gamma(self.k + 1)
         self.P = np.array([m.coef[k0:] for m in fam.members])
         self.xp = x[1:]
         self.log_x = np.log(self.xp)
@@ -167,6 +168,6 @@ class DataMoments:
         np.power(self.xp, -alpha, out=W[0])
         np.multiply(W[0], self.log_x, out=W[1])
         m, l = np.einsum("kj,rj->rk", self.V, W)
-        g = self.gamma_k1 * special.rgamma(self.k + 1 - alpha)
+        g, psi = power_rule(self.k, alpha)
         gm = g * m
-        return self.P @ gm, self.P @ (special.psi(self.k + 1 - alpha) * gm - g * l)
+        return self.P @ gm, self.P @ (psi * gm - g * l)

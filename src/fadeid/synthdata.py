@@ -53,7 +53,7 @@ class MeasurementSet:
 
     ``c`` / ``dcdt`` are the clean signals; ``c_noisy`` / ``dcdt_noisy``
     carry the measured (possibly noise-corrupted) channels and equal the
-    clean ones when ``noise_level`` is 0.
+    clean ones when no noise was added.
     """
 
     x: np.ndarray
@@ -62,8 +62,6 @@ class MeasurementSet:
     r: np.ndarray
     c_noisy: np.ndarray
     dcdt_noisy: np.ndarray
-    noise_level: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         n = len(self.x)
@@ -106,7 +104,7 @@ def synthesize(
     x = np.linspace(0.0, model.L, M)
     c, dcdt = exact_solution(model, x)
     r = source_term(model, x)
-    ms = MeasurementSet(x, c, dcdt, r, c, dcdt, 0.0, seed)
+    ms = MeasurementSet(x, c, dcdt, r, c, dcdt)
     if noise_level > 0.0:
         ms = add_noise(ms, noise_level, seed)
     return ms
@@ -128,9 +126,7 @@ def add_noise(ms: MeasurementSet, level: float, seed: int) -> MeasurementSet:
     sig_f = level * float(np.sqrt(np.mean(ms.dcdt**2)))
     c_noisy = ms.c + sig_c * rng.standard_normal(len(ms.c))
     dcdt_noisy = ms.dcdt + sig_f * rng.standard_normal(len(ms.dcdt))
-    return replace(
-        ms, c_noisy=c_noisy, dcdt_noisy=dcdt_noisy, noise_level=level, seed=seed
-    )
+    return replace(ms, c_noisy=c_noisy, dcdt_noisy=dcdt_noisy)
 
 
 def restrict(ms: MeasurementSet, L1: float) -> MeasurementSet:

@@ -54,6 +54,9 @@ class TestSpecConstruction:
     def test_grid_given_twice_rejected(self):
         with pytest.raises(ValueError, match="not both"):
             spec_from_dict({"estimator": {"M": 100, "dx": 0.1}})
+        for est in ({"M": 2001}, {"dx": 0.5}):
+            with pytest.raises(ValueError, match="not both"):
+                spec_from_dict({"grid_points": 1001, "estimator": est})
 
     @pytest.mark.parametrize("key,sweep", [("N", "n_list"), ("L1", "L1_list")])
     def test_swept_estimator_keys_rejected(self, key, sweep):
@@ -120,6 +123,29 @@ class TestRun:
         serial = run(spec, workers=1, quiet=True)
         parallel = run(spec, workers=4, quiet=True)
         assert serial == parallel  # dataclass equality, bit-exact floats
+
+    def test_pool_capped_at_cell_count(self, monkeypatch):
+        asked = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return map(fn, cells)
+
+        monkeypatch.setattr(expcli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(expcli, "_run_cell", lambda cell: ResultRow(cell[1], 0.0, 3, 9.0, 0))
+        spec = spec_from_dict({**FAST, "seeds": [0, 1, 2, 3, 4]})
+        rows = run(spec, workers=64, quiet=True)
+        assert asked == [5]
+        assert [r.cell_index for r in rows] == [0, 1, 2, 3, 4]
 
     def test_failure_recorded_not_raised(self, monkeypatch):
         def boom(*a, **k):

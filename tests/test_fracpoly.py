@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import Polynomial
 from scipy.special import gamma, psi as digamma, rgamma
 
-from fadeid.fracpoly import FracExpansion, rl_derivative, rl_alpha_sensitivity
+from fadeid.fracpoly import power_rule, rl_derivative, rl_alpha_sensitivity
 
 mpmath.mp.dps = 30
 
 
 class TestSpecialFunctions:
-    """The scipy.special values fracpoly and modfun use directly."""
+    """The scipy.special values fracpoly.power_rule uses, the only caller in fadeid."""
 
     def test_gamma_frozen_values(self):
         assert gamma(1.5) == pytest.approx(0.886226925452758, rel=1e-14)
@@ -42,24 +42,39 @@ class TestSpecialFunctions:
             assert rgamma(z) == pytest.approx(1.0 / gamma(z), rel=1e-14)
 
 
+class TestPowerRule:
+    @pytest.mark.parametrize("alpha", [0.5, 1.3, 1.8, 2.0])
+    def test_against_mpmath(self, alpha):
+        g, psi = power_rule(np.arange(28, dtype=float), alpha)
+        for k in range(28):
+            z = mpmath.mpf(k + 1) - mpmath.mpf(alpha)
+            if z in (0, -1):  # Gamma poles
+                assert g[k] == 0.0
+                continue
+            ref = float(mpmath.gamma(k + 1) * mpmath.rgamma(z))
+            assert abs(g[k] - ref) <= 1e-12 * abs(ref)
+            if z > 0:
+                assert abs(psi[k] - float(mpmath.digamma(z))) <= 1e-10
+
+
 class TestRlDerivative:
     def test_integer_order_second_derivative(self):
         fx = rl_derivative(Polynomial.basis(2), 2.0)
-        assert fx.terms == [(2.0, 0.0)]
+        assert fx(0.0) == 2.0
+        np.testing.assert_allclose(fx(np.linspace(0.0, 9.0, 19)), 2.0, rtol=1e-14)
 
     def test_half_order_of_x(self):
         fx = rl_derivative(Polynomial.basis(1), 0.5)
-        [(coeff, expo)] = fx.terms
-        assert expo == 0.5
-        assert coeff == pytest.approx(1.1283791670955126, rel=1e-13)  # 1/Gamma(1.5)
+        x = np.array([0.0, 0.25, 1.0, 4.0])
+        # 1/Gamma(1.5) x^0.5
+        np.testing.assert_allclose(fx(x), 1.1283791670955126 * np.sqrt(x), rtol=1e-13)
 
     def test_source_structure_alpha_18(self):
         # x(9-x) -> 9 Gamma(2)/Gamma(0.2) x^-0.8 - Gamma(3)/Gamma(1.2) x^0.2
         fx = rl_derivative(Polynomial([0.0, 9.0, -1.0]), 1.8)
-        terms = fx.terms
-        assert [e for _, e in terms] == pytest.approx([-0.8, 0.2])
-        assert terms[0][0] == pytest.approx(9.0 * rgamma(0.2), rel=1e-13)
-        assert terms[1][0] == pytest.approx(-2.0 * rgamma(1.2), rel=1e-13)
+        x = np.linspace(0.1, 9.0, 90)
+        t0, t1 = 9.0 * rgamma(0.2) * x**-0.8, -2.0 * rgamma(1.2) * x**0.2
+        assert np.all(np.abs(fx(x) - (t0 + t1)) <= 1e-13 * (np.abs(t0) + np.abs(t1)))
 
     @pytest.mark.parametrize("alpha", [0.0, -0.3, 2.0001, 3.0])
     def test_alpha_out_of_range(self, alpha):
@@ -69,7 +84,7 @@ class TestRlDerivative:
     def test_pole_totality(self):
         # x^1 at alpha=2: k+1-alpha = 0 is a Gamma pole, coefficient must vanish
         fx = rl_derivative(Polynomial.basis(1), 2.0)
-        assert fx.terms == []
+        assert np.all(fx(np.array([0.0, 0.5, 4.0])) == 0.0)
         assert fx(1.7) == 0.0
 
     @settings(max_examples=40, deadline=None)
@@ -82,48 +97,41 @@ class TestRlDerivative:
     )
     def test_linearity(self, pc, qc, alpha, a, b):
         p, q = Polynomial(pc), Polynomial(qc)
-        combo = a * p + b * q
-        lhs = rl_derivative(combo, alpha)
-        n = max(len(lhs.coeffs), len(pc), len(qc))
-        rhs = np.zeros(n)
-        for poly, s in ((p, a), (q, b)):
-            c = np.array(rl_derivative(poly, alpha).coeffs)
-            rhs[: len(c)] += s * c
-        scale = max(np.abs(rhs).max(), 1e-30)
-        lhs_c = np.zeros(n)
-        lhs_c[: len(lhs.coeffs)] = lhs.coeffs
-        assert np.abs(lhs_c - rhs).max() <= 1e-12 * max(scale, 1.0)
+        x = np.array([0.3, 1.0, 2.5])
+        lhs = rl_derivative(a * p + b * q, alpha)(x)
+        rhs = a * rl_derivative(p, alpha)(x) + b * rl_derivative(q, alpha)(x)
+        # sum of |term| over every monomial of a p and b q
+        k = np.arange(8)
+        g = np.abs(gamma(k + 1) * rgamma(k + 1 - alpha))
+        scale = sum(
+            np.abs(s * np.asarray(c)) * g[: len(c)] @ x[None, :] ** (k[: len(c), None] - alpha)
+            for c, s in ((pc, a), (qc, b))
+        )
+        assert np.all(np.abs(lhs - rhs) <= 1e-12 * np.maximum(scale, 1.0))
 
     @pytest.mark.parametrize("alpha", [1.0, 2.0])
     def test_integer_order_matches_classical(self, alpha):
         p = Polynomial([4.0, -1.0, 2.5, 3.0, -0.5])
-        ref = p
-        for _ in range(int(alpha)):
-            ref = ref.deriv()
+        x = np.linspace(0.0, 3.0, 13)
         fx = rl_derivative(p, alpha)
-        got = dict((int(e), c) for c, e in fx.terms)
-        for k, c in enumerate(ref.coef):
-            assert got.get(k, 0.0) == pytest.approx(c, rel=1e-12, abs=1e-12)
+        assert fx(x) == pytest.approx(p.deriv(int(alpha))(x), rel=1e-12, abs=1e-12)
 
 
 class TestFracExpansion:
+    """Evaluation at x = 0 and on arrays."""
+
     def test_eval_at_zero_positive_exponents(self):
-        fx = FracExpansion(1.5, (0.0, 0.0, 1.0))  # x^0.5
+        fx = rl_derivative(Polynomial.basis(2), 1.5)  # ~ x^0.5
         assert fx(0.0) == 0.0
 
     def test_eval_at_zero_constant_term(self):
-        fx = FracExpansion(2.0, (0.0, 0.0, 3.0))  # 3 x^0
+        fx = rl_derivative(Polynomial([0.0, 0.0, 1.5]), 2.0)  # 3 x^0
         assert fx(0.0) == 3.0
 
     def test_eval_at_zero_negative_exponent_rejected(self):
-        fx = FracExpansion(1.8, (0.0, 1.0))  # x^-0.8
+        fx = rl_derivative(Polynomial.basis(1), 1.8)  # ~ x^-0.8
         with pytest.raises(ValueError):
             fx(0.0)
-
-    def test_terms_strictly_increasing_exponents(self):
-        fx = rl_derivative(Polynomial([1.0, 2.0, 0.0, 4.0]), 1.3)
-        exps = [e for _, e in fx.terms]
-        assert all(b > a for a, b in zip(exps, exps[1:]))
 
     def test_array_evaluation(self):
         fx = rl_derivative(Polynomial.basis(3), 1.5)
