@@ -9,6 +9,12 @@ Subcommands:
 
 Configuration is a YAML file with nested sections mirroring
 :class:`ExperimentSpec`; every default is documented in ``--help``.
+
+A sweep's data set depends only on (truth, grid, noise level, seed), so the
+N x L1 cells of one (noise level, seed) pair fit the same samples.  Cells run
+in data-set-major order, and each process keeps its last clean field and its
+last noisy data set, so consecutive cells in one worker reuse them; the
+cached data is bit-identical to a fresh :func:`synthesize` call.
 """
 
 from __future__ import annotations
@@ -20,7 +26,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace, field
+from functools import lru_cache
 from itertools import product
+from numbers import Integral, Real
 from pathlib import Path
 from typing import get_type_hints
 
@@ -28,7 +36,7 @@ import yaml
 
 from . import __version__
 from .estimator import EstimatorConfig, estimate_two_param, newton_estimate
-from .synthdata import TrueModel, synthesize
+from .synthdata import MeasurementSet, TrueModel, add_noise, synthesize
 
 MODES = ("two-param", "three-param")
 
@@ -52,8 +60,13 @@ class ExperimentSpec:
         for name in ("noise_levels", "n_list", "L1_list", "seeds"):
             if not getattr(self, name):
                 raise ValueError(f"sweep list '{name}' must be non-empty")
+        for level in self.noise_levels:
+            if not (isinstance(level, Real) and math.isfinite(level) and level >= 0):
+                raise ValueError(f"noise levels must be finite and >= 0, got {level!r}")
         if self.grid_points is None:
             self.grid_points = int(round(self.truth.L * 1500)) + 1
+        if not (isinstance(self.grid_points, Integral) and self.grid_points >= 3):
+            raise ValueError(f"grid_points must be an integer >= 3, got {self.grid_points!r}")
 
 
 @dataclass
@@ -94,7 +107,10 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     if "M" in est_raw:
         data["grid_points"] = est_raw.pop("M")
     if "dx" in est_raw:
-        data["grid_points"] = int(round(truth.L / est_raw.pop("dx"))) + 1
+        dx = est_raw.pop("dx")
+        if not dx > 0:
+            raise ValueError(f"estimator.dx must be positive, got {dx!r}")
+        data["grid_points"] = int(round(truth.L / dx)) + 1
     return ExperimentSpec(truth=truth, estimator=EstimatorConfig(**est_raw), **data)
 
 
@@ -103,12 +119,30 @@ def load_spec(path) -> ExperimentSpec:
         return spec_from_dict(yaml.safe_load(fh) or {})
 
 
+@lru_cache(maxsize=1)
+def _clean(truth: TrueModel, M: int) -> MeasurementSet:
+    """The noise-free data set, kept for the next cell; its arrays are read-only."""
+    ms = synthesize(truth, M)
+    for a in (ms.x, ms.c, ms.dcdt, ms.r):
+        a.flags.writeable = False
+    return ms
+
+
+@lru_cache(maxsize=1)
+def _measurements(truth: TrueModel, M: int, noise: float, seed: int) -> MeasurementSet:
+    """``synthesize(truth, M, noise, seed)``, kept for the next cell; read-only."""
+    ms = add_noise(_clean(truth, M), noise, seed)
+    ms.c_noisy.flags.writeable = False
+    ms.dcdt_noisy.flags.writeable = False
+    return ms
+
+
 def _run_cell(args) -> ResultRow:
     spec, idx, noise, n, L1, seed = args
     row = ResultRow(idx, noise, n, L1, seed)
     truth = spec.truth
     try:
-        ms = synthesize(truth, spec.grid_points, noise_level=noise, seed=seed)
+        ms = _measurements(truth, spec.grid_points, noise, seed)
         cfg = replace(spec.estimator, N=n, L1=L1)
         if spec.mode == "two-param":
             nu, d, _ = estimate_two_param(ms, cfg, truth.alpha)
@@ -133,21 +167,33 @@ def _run_cell(args) -> ResultRow:
 
 
 def run(spec: ExperimentSpec, workers: int | None = None, quiet: bool = False) -> list[ResultRow]:
-    """Run every (noise, N, L1, seed) cell; failures are recorded, not raised."""
+    """Run every (noise, N, L1, seed) cell; failures are recorded, not raised.
+
+    Rows come back in ``noise x N x L1 x seed`` product order (``cell_index``).
+    """
+    if workers is not None and workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     cells = [
         (spec, idx, noise, n, L1, seed)
         for idx, (noise, n, L1, seed) in enumerate(
             product(spec.noise_levels, spec.n_list, spec.L1_list, spec.seeds)
         )
     ]
+    # data-set-major: consecutive cells share (noise, seed) and so one data set
+    cells.sort(key=lambda c: (c[2], c[5], c[4], c[3]))
     if workers is None:
         workers = 1 if len(cells) < 4 else len(os.sched_getaffinity(0))
     workers = min(workers, len(cells))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_run_cell, cells, chunksize=1))
-    else:
-        rows = [_run_cell(c) for c in cells]
+    try:
+        if workers > 1:
+            # chunksize=1 keeps every worker busy on a single-seed sweep too
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                rows = list(pool.map(_run_cell, cells, chunksize=1))
+        else:
+            rows = [_run_cell(c) for c in cells]
+    finally:
+        _measurements.cache_clear()
+        _clean.cache_clear()
     rows.sort(key=lambda r: r.cell_index)
     if not quiet:
         for r in rows:
@@ -245,11 +291,10 @@ def _cmd_estimate(args) -> int:
         overrides["seeds"] = [args.seed]
     if args.mode is not None:
         overrides["mode"] = args.mode
-    if overrides:
-        spec = replace(spec, **overrides)
-    row = _run_cell(
-        (spec, 0, spec.noise_levels[0], spec.n_list[0], spec.L1_list[0], spec.seeds[0])
-    )
+    first = {name: getattr(spec, name)[:1]
+             for name in ("noise_levels", "n_list", "L1_list", "seeds")}
+    spec = replace(spec, **{**first, **overrides})
+    (row,) = run(spec, workers=1, quiet=True)
     if row.error:
         print(f"estimation failed: {row.error}", file=sys.stderr)
         return 1
@@ -283,6 +328,13 @@ def _cmd_sweep(args) -> int:
     if not args.quiet:
         print(f"{len(rows)} cells, {len(failures)} failed -> {outdir}")
     return 1 if failures else 0
+
+
+def _worker_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
 
 
 def _cmd_selftest(args) -> int:
@@ -325,7 +377,7 @@ def main(argv=None) -> int:
     p_sw.add_argument("--config", required=True, help="YAML experiment spec")
     p_sw.add_argument("--out", help="output directory (overrides spec)")
     p_sw.add_argument("--seed", type=int, default=0, help="offset added to every spec seed")
-    p_sw.add_argument("--workers", type=int, default=None,
+    p_sw.add_argument("--workers", type=_worker_count, default=None,
                       help="parallel worker cap (default: the CPUs this process may run on, "
                       "or serial for tiny sweeps)")
     p_sw.add_argument("--quiet", action="store_true", help="suppress per-cell progress")

@@ -42,11 +42,16 @@ V[k, j] = w_j x_j^k c(L1-x_j) is stored once, so each alpha costs one
 (K x M) by (M x 2) contraction.  The x = 0 sample is left out of V: every
 k - alpha > 0, so both integrands vanish there.
 
-Every contraction over the grid is a single-threaded ``np.einsum``, not
-``@``: the products are too small to gain from a threaded BLAS, and its
-threads oversubscribe the CPUs when sweep cells run in a process pool.  A
-2-worker, 40-cell Table-1 sweep on 2 CPUs ran at 95-125 cells/s with
-``einsum`` and at 14-38 cells/s with ``@`` for the same contractions.
+Every contraction over the grid is an ``np.einsum``, which does not call
+BLAS and so always runs on one thread.  OpenBLAS threads a product once it
+is large enough, and when sweep cells run in a process pool its threads
+oversubscribe the CPUs.  Measured with two concurrent processes on 2 CPUs
+(OpenBLAS 0.3.31) at M = 31500: a (K x M) matrix times an M-vector with
+``@`` (gemv) is threaded and took about 8 ms, against 0.1-0.35 ms on one
+thread.  The (K x M) by (M x 2) product ``V @ W.T`` stays single-threaded
+at K = 15 and beats ``einsum`` there (0.2 against 0.5 ms), but at K = 24
+(N = 20) it is threaded and took up to 8 ms, against 0.8-0.9 ms for
+``einsum``.  ``einsum`` is never the slow case.
 """
 
 from __future__ import annotations

@@ -1,10 +1,13 @@
 import math
+from itertools import product
 from pathlib import Path
 
 import pytest
 import yaml
 
 from fadeid import expcli
+from fadeid.estimator import EstimatorConfig, estimate_two_param, newton_estimate
+from fadeid.synthdata import synthesize
 from fadeid.expcli import (
     ExperimentSpec,
     ResultRow,
@@ -63,6 +66,18 @@ class TestSpecConstruction:
         with pytest.raises(ValueError, match=sweep):
             spec_from_dict({"estimator": {key: 5}})
 
+    @pytest.mark.parametrize("data", [
+        {"estimator": {"dx": 0}},
+        {"estimator": {"dx": -0.5}},
+        {"estimator": {"M": 2}},
+        {"estimator": {"M": 2701.0}},
+        {"noise_levels": [-0.1]},
+        {"noise_levels": [0.0, float("nan")]},
+    ])
+    def test_bad_grid_or_noise_rejected_at_load(self, data):
+        with pytest.raises(ValueError):
+            spec_from_dict(data)
+
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
             spec_from_dict({"mode": "four-param"})
@@ -106,15 +121,83 @@ class TestRun:
             math.sqrt((r.err_nu**2 + r.err_d**2) / 2)
         )
 
-    def test_cell_ordering_matches_product(self):
-        spec = spec_from_dict(
-            {**FAST, "noise_levels": [0.0, 0.01], "seeds": [0, 1], "mode": "two-param"}
-        )
+    def test_cell_ordering_matches_product(self, monkeypatch):
+        lists = {"noise_levels": [0.0, 0.01], "n_list": [3, 5], "L1_list": [9.0, 5.0],
+                 "seeds": [0, 1]}
+        spec = spec_from_dict({**FAST, **lists, "mode": "two-param"})
+        executed = []
+        run_cell = expcli._run_cell
+
+        def recording(cell):
+            executed.append(cell[2:])
+            return run_cell(cell)
+
+        monkeypatch.setattr(expcli, "_run_cell", recording)
         rows = run(spec, workers=1, quiet=True)
-        assert [r.cell_index for r in rows] == [0, 1, 2, 3]
-        assert [(r.noise_level, r.seed) for r in rows] == [
-            (0.0, 0), (0.0, 1), (0.01, 0), (0.01, 1),
-        ]
+        # cells run data-set-major, by (noise, seed, L1, N) ...
+        assert executed == sorted(executed, key=lambda c: (c[0], c[3], c[2], c[1]))
+        # ... and come back in noise x N x L1 x seed product order
+        assert [r.cell_index for r in rows] == list(range(16))
+        assert [(r.noise_level, r.n_funcs, r.L1, r.seed) for r in rows] == list(
+            product(*lists.values())
+        )
+        assert all(r.error == "" for r in rows)
+
+    def test_each_data_set_synthesized_once(self, monkeypatch):
+        calls = {"synthesize": 0, "add_noise": []}
+        synth, add_noise = expcli.synthesize, expcli.add_noise
+
+        def counting_synthesize(*args, **kwargs):
+            calls["synthesize"] += 1
+            return synth(*args, **kwargs)
+
+        def counting_add_noise(ms, level, seed):
+            calls["add_noise"].append((level, seed))
+            return add_noise(ms, level, seed)
+
+        monkeypatch.setattr(expcli, "synthesize", counting_synthesize)
+        monkeypatch.setattr(expcli, "add_noise", counting_add_noise)
+        spec = spec_from_dict({
+            **FAST, "mode": "two-param", "noise_levels": [0.0, 0.02],
+            "n_list": [3, 5, 7], "L1_list": [9.0, 5.0], "seeds": [0, 1],
+        })
+        rows = run(spec, workers=1, quiet=True)
+        assert len(rows) == 24 and all(r.error == "" for r in rows)
+        assert calls["synthesize"] == 1
+        assert sorted(calls["add_noise"]) == [(0.0, 0), (0.0, 1), (0.02, 0), (0.02, 1)]
+
+    @pytest.mark.parametrize("mode", ["two-param", "three-param"])
+    def test_rows_match_fresh_synthesis(self, mode):
+        spec = spec_from_dict({
+            **FAST, "mode": mode, "noise_levels": [0.0, 0.02], "n_list": [3, 5],
+            "L1_list": [9.0, 5.0], "seeds": [0, 1],
+        })
+        for r in run(spec, workers=1, quiet=True):
+            ms = synthesize(spec.truth, spec.grid_points, r.noise_level, r.seed)
+            cfg = EstimatorConfig(L1=r.L1, N=r.n_funcs, alpha0=1.4)
+            if mode == "two-param":
+                nu, d, _ = estimate_two_param(ms, cfg, spec.truth.alpha)
+                alpha = spec.truth.alpha
+            else:
+                res = newton_estimate(ms, cfg)
+                nu, d, alpha = res.nu, res.d, res.alpha
+            assert (r.est_nu, r.est_d, r.est_alpha) == (nu, d, alpha)
+
+    def test_cached_data_is_released(self):
+        run(spec_from_dict(FAST), workers=1, quiet=True)
+        assert expcli._clean.cache_info().currsize == 0
+        assert expcli._measurements.cache_info().currsize == 0
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers, tmp_path):
+        with pytest.raises(ValueError, match="workers"):
+            run(spec_from_dict(FAST), workers=workers, quiet=True)
+        cfg = write_cfg(tmp_path, FAST)
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "res"),
+                  "--workers", str(workers), "--quiet"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "res").exists()
 
     def test_parallel_matches_serial(self):
         spec = spec_from_dict(
