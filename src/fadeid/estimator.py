@@ -68,8 +68,7 @@ class Linearization(NamedTuple):
 
 #: largest |alpha step| of one Gauss-Newton update
 STEP_CLAMP = 0.2
-# alpha steps jitter at ~1e-7 from rounding in the large-magnitude
-# integrals; anything below 1e-6 is numerically indistinguishable
+#: an alpha step below this ends Stage 2 as converged
 ALPHA_TOL = 1e-6
 
 
@@ -159,25 +158,21 @@ def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResu
     calls :func:`linearize` at the current alpha, then takes a clamped
     scalar Gauss-Newton step dalpha = <K', U - K> / <K', K'> projected into
     (1 + 1e-6, 2].  Stops when the alpha step falls below ALPHA_TOL
-    (converged, stationary point), or at max_iter (flagged not converged);
-    the iterate of least J = ||K - U||^2 is returned.
+    (converged, stationary point), or at max_iter (flagged not converged),
+    and returns the last iterate with its J = ||K - U||^2.
     """
     mom = _moments(ms, config)
     U = mom.C
 
     alpha = float(config.alpha0)
     history: list[IterationRecord] = []
-    best: tuple[float, IterationRecord, float] | None = None  # (J, record, cond)
     message = ""
     converged = False
 
     for k in range(config.max_iter + 1):
         lin = linearize(mom, alpha)
         J = float(np.sum((lin.K - U) ** 2))
-        rec = IterationRecord(alpha, J, lin.nu, lin.d)
-        history.append(rec)
-        if best is None or J < best[0]:
-            best = (J, rec, lin.cond)
+        history.append(IterationRecord(alpha, J, lin.nu, lin.d))
         if k == config.max_iter:
             message = f"max_iter={config.max_iter} reached"
             break
@@ -196,14 +191,13 @@ def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResu
             break
         alpha = new_alpha
 
-    J_best, rec, cond = best
     return EstimateResult(
-        nu=rec.nu,
-        d=rec.d,
-        alpha=rec.alpha,
+        nu=lin.nu,
+        d=lin.d,
+        alpha=alpha,
         iterations=history,
         converged=converged,
-        residual_final=J_best,
-        cond_estimate=cond,
+        residual_final=J,
+        cond_estimate=lin.cond,
         message=message,
     )

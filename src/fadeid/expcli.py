@@ -275,7 +275,7 @@ def emit_plotdata(rows: list[ResultRow], outdir) -> list[Path]:
     return written
 
 
-def _cmd_estimate(args) -> int:
+def _estimate_spec(args) -> ExperimentSpec:
     if args.config:
         spec = load_spec(args.config)
     else:
@@ -293,7 +293,10 @@ def _cmd_estimate(args) -> int:
         overrides["mode"] = args.mode
     first = {name: getattr(spec, name)[:1]
              for name in ("noise_levels", "n_list", "L1_list", "seeds")}
-    spec = replace(spec, **{**first, **overrides})
+    return replace(spec, **{**first, **overrides})
+
+
+def _cmd_estimate(args, spec: ExperimentSpec) -> int:
     (row,) = run(spec, workers=1, quiet=True)
     if row.error:
         print(f"estimation failed: {row.error}", file=sys.stderr)
@@ -312,12 +315,16 @@ def _cmd_estimate(args) -> int:
     return 0 if row.converged else 1
 
 
-def _cmd_sweep(args) -> int:
+def _sweep_spec(args) -> ExperimentSpec:
     spec = load_spec(args.config)
     if args.out:
         spec = replace(spec, output_dir=args.out)
     if args.seed:
         spec = replace(spec, seeds=[s + args.seed for s in spec.seeds])
+    return spec
+
+
+def _cmd_sweep(args, spec: ExperimentSpec) -> int:
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     rows = run(spec, workers=args.workers, quiet=args.quiet)
@@ -337,7 +344,7 @@ def _worker_count(text: str) -> int:
     return n
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args, spec: None) -> int:
     from .selftest import run_selftest
 
     return 0 if run_selftest(quiet=args.quiet) else 1
@@ -365,7 +372,7 @@ def main(argv=None) -> int:
     p_est.add_argument("--L1", type=float, help="integration interval length (default 9)")
     p_est.add_argument("--mode", choices=MODES, help="estimation mode (default three-param)")
     p_est.add_argument("--quiet", action="store_true", help="suppress the summary")
-    p_est.set_defaults(func=_cmd_estimate)
+    p_est.set_defaults(func=_cmd_estimate, spec=_estimate_spec)
 
     p_sw = sub.add_parser(
         "sweep",
@@ -381,7 +388,7 @@ def main(argv=None) -> int:
                       help="parallel worker cap (default: the CPUs this process may run on, "
                       "or serial for tiny sweeps)")
     p_sw.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
-    p_sw.set_defaults(func=_cmd_sweep)
+    p_sw.set_defaults(func=_cmd_sweep, spec=_sweep_spec)
 
     p_st = sub.add_parser(
         "selftest",
@@ -391,10 +398,15 @@ def main(argv=None) -> int:
         "conditions) and print one PASS/FAIL line each.",
     )
     p_st.add_argument("--quiet", action="store_true", help="only report failures")
-    p_st.set_defaults(func=_cmd_selftest)
+    p_st.set_defaults(func=_cmd_selftest, spec=None)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        spec = args.spec(args) if args.spec else None
+    except ValueError as exc:  # a bad spec is a usage error, like a bad flag
+        print(f"fadeid {args.command}: error: {exc}", file=sys.stderr)
+        return 2
+    return args.func(args, spec)
 
 
 if __name__ == "__main__":

@@ -1,63 +1,54 @@
 """Polynomial modulating-function families and their moments against data.
 
-The family on [0, L1] is phi_n(x) = x^(N+b+1-n) * (L1-x)^(b+n) for
-n = 1..N.  Every member and its first derivative vanish at both endpoints
-(with margin: the vanishing orders are N+b+1-n >= b+2 at 0 and b+n >= b+1
-at L1), and the minimal monomial power b+1 exceeds 2, so fractional
+The family on [0, L1] is phi_n(x) = x^a_n (L1-x)^e_n, a_n = N+b+1-n,
+e_n = b+n, for n = 1..N.  Every member and its first derivative vanish at
+both endpoints (with margin: a_n, e_n >= b+1 >= 3), so fractional
 derivatives of order up to 2 and their order-sensitivities are regular on
-[0, L1] and vanish at 0.
-
-With a_n = N+b+1-n and e_n = b+n, phi_n = x^a_n (L1-x)^e_n.  As every
-a_n + e_n = N + 2b + 1, writing y = L1 - x,
-
-    phi_n(x) = t_n x y,   phi_n'(x) = t_n (a_n y - e_n x),   t_n = (x y)^b x^(N-n) y^(n-1),
-
-and t_{n+1} = t_n (y/x).  :func:`build_family` is cached: it is a pure
-function of (N, b, L1), so callers with the same key share one family,
-whose coefficient arrays are read-only.
+[0, L1] and vanish at 0.  :func:`build_family` is cached per (N, b, L1);
+its arrays are read-only.
 
 :class:`DataMoments` integrates a family against samples on a uniform grid
-by the trapezoid rule (weights w_j).  The columns free of alpha,
+by the trapezoid rule (weights w_j).  With y = L1 - x, every a_n + e_n is
+D = N+2b+1, so all columns are sums over one basis shared by the members,
+X_p = x^p y^(D-p) for p = b..D.  No member is expanded in monomials, whose
+alternating sums cancel more as N grows; each coefficient below has at
+most three terms.  Lifting -phi_n' to degree D by (x + y)/L1 = 1 gives
 
-    A_n = integral of -phi_n'(x) c(L1-x) dx,  C_n = integral of phi_n(x) rhs(L1-x) dx,
+    A_n = integral of -phi_n'(x) c(L1-x) dx = (-a s_c[a-1] + (e-a) s_c[a] + e s_c[a+1]) / L1,
+    C_n = integral of phi_n(x) rhs(L1-x) dx = s_r[a],
 
-are summed once over the interior nodes (every member and its first
-derivative vanish at 0 and L1), with t_n formed by the running product
-above and no power of x.  The factor (a_n y - e_n x) is kept pointwise:
-splitting A_n into a_n sum(t_n y c) - e_n sum(t_n x c) subtracts two larger
-sums, and on Table-1 data its error against an extended-precision
-reference was 3-5 times larger.  The fractional column
+with s_c[p] = sum_j w_j X_p(x_j) c(L1-x_j) and s_r the same for rhs.  The
+fractional column B_n = integral of D^alpha phi_n(x) c(L1-x) dx and its
+order-derivative G_n = dB_n/dalpha use D^alpha phi_n = I^(2-alpha) phi_n''
+(phi_n and phi_n' vanish at 0).  Writing phi_n'' = sum_r c_r x^(a-2+r) y^(e-r),
+c = (a(a-1), -2ae, e(e-1)), substituting s = xu in the Riemann-Liouville
+integral and expanding L1 - xu = y + x(1-u) binomially gives
 
-    B_n(alpha) = integral of D^alpha phi_n(x) c(L1-x) dx
+    D^alpha phi_n = sum_p Q[n, p] g_p x^(p-alpha) y^(D-p),   p = b+1..D,
+    Q[n, p] = sum_i T[n, p, i] (2-alpha)_i,   T[n, p, i] = c_r C(e-r, i) / perm(p, i+2),
 
-and its order-derivative G_n = dB_n/dalpha follow from the power rule
-D^alpha x^k = g_k x^(k-alpha), g_k = Gamma(k+1)/Gamma(k+1-alpha), with
-dg_k/dalpha = g_k psi(k+1-alpha); :func:`fadeid.fracpoly.power_rule`
-gives g and psi.  Writing phi_n = sum_k P[n, k] x^k and
+with r = p-i-a and g_p = Gamma(p+1)/Gamma(p+1-alpha).  T depends only on
+(N, b); :func:`build_family` builds it once from exact integers.  With psi = psi(p+1-alpha)
+(g and psi come from :func:`fadeid.fracpoly.power_rule`) and
 
-    m_k = sum_j w_j x_j^(k-alpha) c(L1-x_j),   l_k = the same with a ln(x_j) factor,
+    m_p = sum_j w_j x_j^(p-alpha) y_j^(D-p) c(L1-x_j),   l_p = the same with a ln(x_j) factor,
 
-gives B = P (g m) and G = P (g (psi m - l)).  The alpha-free block
-V[k, j] = w_j x_j^k c(L1-x_j) is stored once, so each alpha costs one
-(K x M) by (M x 2) contraction.  The x = 0 sample is left out of V: every
-k - alpha > 0, so both integrands vanish there.
+B = Q (g m) and G = Q' (g m) + Q (psi g m - g l), Q' = dQ/dalpha.  The
+block V[p, j] = w_j c(L1-x_j) X_p(x_j) is stored once, so each alpha costs
+one (P x M) by (M x 2) contraction.  The x = 0 sample, where every term
+vanishes, is left out.
 
-Every contraction over the grid is an ``np.einsum``, which does not call
-BLAS and so always runs on one thread.  OpenBLAS threads a product once it
-is large enough, and when sweep cells run in a process pool its threads
-oversubscribe the CPUs.  Measured with two concurrent processes on 2 CPUs
-(OpenBLAS 0.3.31) at M = 31500: a (K x M) matrix times an M-vector with
-``@`` (gemv) is threaded and took about 8 ms, against 0.1-0.35 ms on one
-thread.  The (K x M) by (M x 2) product ``V @ W.T`` stays single-threaded
-at K = 15 and beats ``einsum`` there (0.2 against 0.5 ms), but at K = 24
-(N = 20) it is threaded and took up to 8 ms, against 0.8-0.9 ms for
-``einsum``.  ``einsum`` is never the slow case.
+Every contraction over the grid is an ``np.einsum``, which never calls
+BLAS: OpenBLAS threads large products, and in a sweep's process pool those
+threads oversubscribe the CPUs.  With two processes on 2 CPUs at M = 31500,
+a threaded ``@`` took up to 8 ms where ``einsum`` took 0.1-0.9 ms.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from math import comb, perm
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -73,6 +64,8 @@ class ModulatingFamily:
     members: tuple[Polynomial, ...]
     #: factored powers (a_n, e_n) with phi_n = x^a_n (L1-x)^e_n
     powers: tuple[tuple[int, int], ...]
+    #: T[n, p-b-1, i] of the module docstring, for p = b+1..D, i = 0..N+b
+    table: np.ndarray = field(compare=False)
 
     @property
     def degree(self) -> int:
@@ -84,7 +77,7 @@ def build_family(N: int, b: int, L1: float) -> ModulatingFamily:
     """Construct the N-member polynomial modulating family on [0, L1].
 
     Cached: callers with the same (N, b, L1) get the same family, so its
-    coefficient arrays are read-only.
+    coefficient arrays and table are read-only.
     """
     if N < 2:
         raise ValueError(f"need at least 2 modulating functions, got N={N}")
@@ -96,13 +89,18 @@ def build_family(N: int, b: int, L1: float) -> ModulatingFamily:
     right = Polynomial([L1, -1.0])
     members = []
     powers = []
+    T = np.zeros((N, N + b + 1, N + b + 1))
     for n in range(1, N + 1):
         a, e = N + b + 1 - n, b + n
         member = Polynomial.basis(a) * right**e
         member.coef.flags.writeable = False
         members.append(member)
         powers.append((a, e))
-    return ModulatingFamily(N, b, L1, tuple(members), tuple(powers))
+        for r, c in enumerate((a * (a - 1), -2 * a * e, e * (e - 1))):
+            for i in range(e - r + 1):  # exact integers, rounded once
+                T[n - 1, a + r + i - b - 1, i] = c * comb(e - r, i) / perm(a + r + i, i + 2)
+    T.flags.writeable = False
+    return ModulatingFamily(N, b, L1, tuple(members), tuple(powers), T)
 
 
 class DataMoments:
@@ -125,43 +123,27 @@ class DataMoments:
         if not (np.all(np.isfinite(c)) and np.all(np.isfinite(rhs))):
             raise ValueError("non-finite measurement samples")
 
-        wc = dx * c[-2::-1]  # w_j c(L1 - x_j) for j >= 1
-        wc[-1] *= 0.5
-
-        # A and C on the interior nodes, where every weight is dx
-        xi = x[1:-1]
-        yi = fam.L1 - xi
-        xy = xi * yi
-        t = xy.copy()  # t_1 = (xy)^b x^(N-1)
-        for _ in range(fam.b - 1):
-            t *= xy
-        for _ in range(fam.n_funcs - 1):
-            t *= xi
-        ratio = yi / xi
-        wcy, wcx = wc[:-1] * yi, wc[:-1] * xi
-        wrxy = dx * rhs[-2:0:-1] * xy
-        dphi, tmp = np.empty_like(xi), np.empty_like(xi)
-        self.A, self.C = np.empty(fam.n_funcs), np.empty(fam.n_funcs)
-        for n, (a, e) in enumerate(fam.powers):
-            if n:
-                t *= ratio
-            np.multiply(wcy, a, out=dphi)
-            np.multiply(wcx, e, out=tmp)
-            dphi -= tmp  # (a_n y - e_n x) dx c(L1 - x)
-            self.A[n] = -np.einsum("j,j->", t, dphi)
-            self.C[n] = np.einsum("j,j->", t, wrxy)
-
-        k0 = fam.b + 1  # lowest power with a nonzero coefficient in any member
-        self.k = np.arange(k0, fam.degree + 1, dtype=float)
-        self.P = np.array([m.coef[k0:] for m in fam.members])
+        # w_j c(L1 - x_j) and w_j rhs(L1 - x_j) for j >= 1
+        W = dx * np.stack([c[-2::-1], rhs[-2::-1]])
+        W[:, -1] *= 0.5
         self.xp = x[1:]
+        b, D = fam.b, fam.degree
+        X = np.empty((D - b + 1, M - 1))  # X[p - b, j] = x_j^p (L1 - x_j)^(D-p)
+        np.power(self.xp, D, out=X[-1])
+        ratio = (fam.L1 - self.xp) / self.xp
+        for i in range(D - b, 0, -1):
+            np.multiply(X[i], ratio, out=X[i - 1])
+        s_c, s_r = np.einsum("pj,rj->rp", X, W)
+        a, e = np.array(fam.powers).T
+        row = a - b
+        self.A = (-a * s_c[row - 1] + (e - a) * s_c[row] + e * s_c[row + 1]) / fam.L1
+        self.C = s_r[row]
+
+        X *= W[0]
+        self.V = X[1:]  # V[p - b - 1, j] = w_j c(L1 - x_j) x_j^p (L1 - x_j)^(D-p)
+        self.p = np.arange(b + 1, D + 1, dtype=float)
+        self.T = fam.table
         self.log_x = np.log(self.xp)
-        self.V = np.empty((len(self.k), M - 1))
-        # x^k0 stays one power call: B = P (g m) cancels heavily, and forming
-        # x^k0 by products would move B by up to 3e-8 relative at N = 11
-        np.multiply(wc, self.xp**k0, out=self.V[0])
-        for i in range(1, len(self.k)):
-            np.multiply(self.V[i - 1], self.xp, out=self.V[i])
         self._weights = np.empty((2, M - 1))
 
     def fractional_columns(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +154,13 @@ class DataMoments:
         W = self._weights
         np.power(self.xp, -alpha, out=W[0])
         np.multiply(W[0], self.log_x, out=W[1])
-        m, l = np.einsum("kj,rj->rk", self.V, W)
-        g, psi = power_rule(self.k, alpha)
+        m, l = np.einsum("pj,rj->rp", self.V, W)
+        g, psi = power_rule(self.p, alpha)
+        q, dq = [1.0], [0.0]  # (2-alpha)_i and its alpha-derivative
+        for i in range(1, self.T.shape[2]):
+            z = 1.0 - alpha + i
+            dq.append(dq[-1] * z - q[-1])
+            q.append(q[-1] * z)
+        Q, dQ = self.T @ q, self.T @ dq
         gm = g * m
-        return self.P @ gm, self.P @ (psi * gm - g * l)
+        return Q @ gm, dQ @ gm + Q @ (psi * gm - g * l)

@@ -260,6 +260,9 @@ class TestNewtonEstimate:
         assert res.iterations[0].alpha == pytest.approx(1.4)
         assert all(np.isfinite(it.residual) for it in res.iterations)
         assert res.residual_final == min(it.residual for it in res.iterations)
+        assert res.residual_final == res.iterations[-1].residual
+        last = res.iterations[-1]
+        assert (res.alpha, res.nu, res.d) == (last.alpha, last.nu, last.d)
 
     def test_alpha_stays_in_range(self):
         ms = synthesize(TABLE1, 4501, noise_level=0.1, seed=3)
@@ -305,6 +308,16 @@ class TestNewtonEstimate:
         assert abs(res.nu - 0.5) / 0.5 <= 1e-6
         assert abs(res.d - 1.0) <= 1e-6
         assert abs(res.alpha - 1.8) / 1.8 <= 1e-6
+
+    @pytest.mark.parametrize("M", [4501, 13501])
+    @pytest.mark.parametrize("N", [15, 20])
+    def test_noise_free_high_N_converges(self, M, N):
+        # with rounding in B far below the data's own error, Stage 2 at
+        # large N settles in a few steps instead of wandering
+        res = newton_estimate(synthesize(TABLE1, M), EstimatorConfig(L1=9.0, N=N, b=3, alpha0=1.4))
+        assert res.converged
+        assert len(res.iterations) <= 10
+        assert abs(res.nu - 0.5) / 0.5 <= 1e-6
 
 
 class TestConfigValidation:

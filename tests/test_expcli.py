@@ -362,6 +362,21 @@ class TestMain:
         assert rc == 1
         assert read_rows(out / "results.csv")[0].error.startswith("RuntimeError")
 
+    def test_bad_estimate_spec_is_usage_error(self, capsys):
+        rc = main(["estimate", "--noise", "-0.1"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "fadeid estimate: error: noise levels must be finite and >= 0, got -0.1\n"
+
+    def test_bad_sweep_spec_is_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**FAST, "estimator": {"M": 2}})
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "res")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("fadeid sweep: error: grid_points") and err.count("\n") == 1
+        assert not (tmp_path / "res").exists()
+
     def test_selftest_smoke(self, capsys):
         rc = main(["selftest"])
         out = capsys.readouterr().out

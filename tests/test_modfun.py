@@ -1,5 +1,6 @@
 from math import comb
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
@@ -128,8 +129,9 @@ class TestEvaluateOnGrid:
 
 class TestDataMoments:
     """B and G against the direct quadrature of the sampled fractional
-    derivatives, on noisy Table-1 data (the monomial basis limits the
-    agreement at larger N)."""
+    derivatives, on noisy Table-1 data.  The reference evaluates each member
+    through its monomial expansion, whose cancellation in float64 limits the
+    agreement at larger N; TestMpmathOracle holds B and G far tighter."""
 
     @pytest.fixture(scope="class")
     def table1(self):
@@ -164,6 +166,61 @@ class TestDataMoments:
             C_ref[n] = np.sum(base * xl * yl * wr)
         for got, ref in ((mom.A, A_ref), (mom.C, C_ref)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def mp_moments(x, c, alpha, kmax):
+    """m_k = sum_j w_j x_j^(k-alpha) c(L1-x_j) and l_k, the same with a
+    ln(x_j) factor, for k = 0..kmax in 50-digit arithmetic (trapezoid
+    weights, the x = 0 node omitted as its terms vanish)."""
+    with mp.workdps(50):
+        al, dx = mp.mpf(alpha), mp.mpf(float(x[1] - x[0]))
+        m, l = [mp.mpf(0)] * (kmax + 1), [mp.mpf(0)] * (kmax + 1)
+        for j, (xj, cj) in enumerate(zip(x[1:], c[-2::-1]), start=1):
+            xj = mp.mpf(float(xj))
+            t = dx * mp.mpf(float(cj)) * xj ** (-al) / (2 if j == len(x) - 1 else 1)
+            lx = mp.log(xj)
+            for k in range(kmax + 1):
+                m[k] += t
+                l[k] += t * lx
+                t *= xj
+        return m, l
+
+
+class TestMpmathOracle:
+    """B and G against the same trapezoid sums in 50-digit arithmetic.  The
+    reference expands each member in monomials, D^alpha x^k =
+    Gamma(k+1)/Gamma(k+1-alpha) x^(k-alpha), and lets 50 digits absorb the
+    cancellation, so it shares neither basis nor rounding with DataMoments."""
+
+    KMAX = 20 + 2 * 3 + 1  # the largest degree tested
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        ms = restrict(synthesize(TABLE1, 451, noise_level=0.02, seed=0), 9.0)
+        return ms.x, ms.c_noisy
+
+    @pytest.fixture(scope="class", params=[1.3, 1.8, 2.0])
+    def moments(self, request, data):
+        return request.param, mp_moments(*data, request.param, self.KMAX)
+
+    @pytest.mark.parametrize("N", [3, 11, 20])
+    def test_matches_50_digit_sums(self, data, moments, N):
+        alpha, (m, l) = moments
+        fam = build_family(N, 3, 9.0)
+        B_ref, G_ref = np.empty(N), np.empty(N)
+        with mp.workdps(50):
+            al = mp.mpf(alpha)
+            for n, (a, e) in enumerate(fam.powers):
+                B = G = mp.mpf(0)
+                for i in range(e + 1):  # x^a (9-x)^e, exact integer coefficients
+                    k = a + i
+                    g = comb(e, i) * 9 ** (e - i) * (-1) ** i * mp.gamma(k + 1) / mp.gamma(k + 1 - al)
+                    B += g * m[k]
+                    G += g * (mp.digamma(k + 1 - al) * m[k] - l[k])
+                B_ref[n], G_ref[n] = B, G
+        B, G = DataMoments(fam, *data, data[1]).fractional_columns(alpha)
+        assert np.abs(B - B_ref).max() <= 1e-11 * np.abs(B_ref).max()
+        assert np.abs(G - G_ref).max() <= 1e-10 * np.abs(G_ref).max()
 
 
 class TestFractionalIntegrationByParts:
