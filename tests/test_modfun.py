@@ -218,7 +218,8 @@ class TestMpmathOracle:
                     B += g * m[k]
                     G += g * (mp.digamma(k + 1 - al) * m[k] - l[k])
                 B_ref[n], G_ref[n] = B, G
-        B, G = DataMoments(fam, *data, data[1]).fractional_columns(alpha)
+        x, c = data
+        B, G = DataMoments(fam, x, c, c).fractional_columns(alpha)
         assert np.abs(B - B_ref).max() <= 1e-11 * np.abs(B_ref).max()
         assert np.abs(G - G_ref).max() <= 1e-10 * np.abs(G_ref).max()
 
