@@ -11,10 +11,9 @@ Configuration is a YAML file with nested sections mirroring
 :class:`ExperimentSpec`; every default is documented in ``--help``.
 
 A sweep's data set depends only on (truth, grid, noise level, seed), so the
-N x L1 cells of one (noise level, seed) pair fit the same samples.  Cells run
-in data-set-major order, and each process keeps its last clean field and its
-last noisy data set, so consecutive cells in one worker reuse them; the
-cached data is bit-identical to a fresh :func:`synthesize` call.
+N x L1 cells of one (noise level, seed) pair fit the same samples.  The data
+set is the unit of work: each task synthesizes one data set and runs some of
+its cells on it.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace, field
-from functools import lru_cache
 from itertools import product
 from numbers import Integral, Real
 from pathlib import Path
@@ -36,7 +34,7 @@ import yaml
 
 from . import __version__
 from .estimator import EstimatorConfig, estimate_two_param, newton_estimate
-from .synthdata import MeasurementSet, TrueModel, add_noise, synthesize
+from .synthdata import MeasurementSet, TrueModel, synthesize
 
 MODES = ("two-param", "three-param")
 
@@ -93,24 +91,17 @@ CSV_FIELDS = list(ResultRow.__dataclass_fields__)
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     data = dict(data)
+    data.pop("fadeid_version", None)  # written by write_manifest
     truth = TrueModel(**data.pop("truth", {}))
     est_raw = dict(data.pop("estimator", {}))
     for name, sweep in (("N", "n_list"), ("L1", "L1_list")):
         if name in est_raw:
             raise ValueError(f"estimator.{name} is swept; set '{sweep}' instead")
-    # the grid size on [0, L] is spelled in the estimator section, as M or
-    # as the spacing dx
-    if "M" in est_raw and "dx" in est_raw:
-        raise ValueError("estimator: give the grid as M or as dx, not both")
-    if "grid_points" in data and ("M" in est_raw or "dx" in est_raw):
-        raise ValueError("give the grid as grid_points or in the estimator section, not both")
+    # the grid size on [0, L] is grid_points, or M in the estimator section
     if "M" in est_raw:
+        if "grid_points" in data:
+            raise ValueError("give the grid as grid_points or as estimator.M, not both")
         data["grid_points"] = est_raw.pop("M")
-    if "dx" in est_raw:
-        dx = est_raw.pop("dx")
-        if not dx > 0:
-            raise ValueError(f"estimator.dx must be positive, got {dx!r}")
-        data["grid_points"] = int(round(truth.L / dx)) + 1
     return ExperimentSpec(truth=truth, estimator=EstimatorConfig(**est_raw), **data)
 
 
@@ -119,30 +110,10 @@ def load_spec(path) -> ExperimentSpec:
         return spec_from_dict(yaml.safe_load(fh) or {})
 
 
-@lru_cache(maxsize=1)
-def _clean(truth: TrueModel, M: int) -> MeasurementSet:
-    """The noise-free data set, kept for the next cell; its arrays are read-only."""
-    ms = synthesize(truth, M)
-    for a in (ms.x, ms.c, ms.dcdt, ms.r):
-        a.flags.writeable = False
-    return ms
-
-
-@lru_cache(maxsize=1)
-def _measurements(truth: TrueModel, M: int, noise: float, seed: int) -> MeasurementSet:
-    """``synthesize(truth, M, noise, seed)``, kept for the next cell; read-only."""
-    ms = add_noise(_clean(truth, M), noise, seed)
-    ms.c_noisy.flags.writeable = False
-    ms.dcdt_noisy.flags.writeable = False
-    return ms
-
-
-def _run_cell(args) -> ResultRow:
-    spec, idx, noise, n, L1, seed = args
+def _run_cell(spec, ms: MeasurementSet, idx, noise, n, L1, seed) -> ResultRow:
     row = ResultRow(idx, noise, n, L1, seed)
     truth = spec.truth
     try:
-        ms = _measurements(truth, spec.grid_points, noise, seed)
         cfg = replace(spec.estimator, N=n, L1=L1)
         if spec.mode == "two-param":
             nu, d, _ = estimate_two_param(ms, cfg, truth.alpha)
@@ -166,6 +137,17 @@ def _run_cell(args) -> ResultRow:
     return row
 
 
+def _run_data_set(task) -> list[ResultRow]:
+    """Synthesize one (noise, seed) data set and run the given cells on it."""
+    spec, (noise, seed), cells = task
+    try:
+        ms = synthesize(spec.truth, spec.grid_points, noise, seed)
+    except Exception as exc:  # every cell of this data set records the failure
+        error = f"{type(exc).__name__}: {exc}"
+        return [ResultRow(idx, noise, n, L1, seed, error=error) for idx, n, L1 in cells]
+    return [_run_cell(spec, ms, idx, noise, n, L1, seed) for idx, n, L1 in cells]
+
+
 def run(spec: ExperimentSpec, workers: int | None = None, quiet: bool = False) -> list[ResultRow]:
     """Run every (noise, N, L1, seed) cell; failures are recorded, not raised.
 
@@ -173,28 +155,24 @@ def run(spec: ExperimentSpec, workers: int | None = None, quiet: bool = False) -
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    cells = [
-        (spec, idx, noise, n, L1, seed)
-        for idx, (noise, n, L1, seed) in enumerate(
-            product(spec.noise_levels, spec.n_list, spec.L1_list, spec.seeds)
-        )
-    ]
-    # data-set-major: consecutive cells share (noise, seed) and so one data set
-    cells.sort(key=lambda c: (c[2], c[5], c[4], c[3]))
+    groups: dict[tuple, list] = {}  # (noise, seed) -> that data set's cells
+    cells = list(product(spec.noise_levels, spec.n_list, spec.L1_list, spec.seeds))
+    for idx, (noise, n, L1, seed) in enumerate(cells):
+        groups.setdefault((noise, seed), []).append((idx, n, L1))
     if workers is None:
         workers = 1 if len(cells) < 4 else len(os.sched_getaffinity(0))
-    workers = min(workers, len(cells))
-    try:
-        if workers > 1:
-            # chunksize=1 keeps every worker busy on a single-seed sweep too
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(_run_cell, cells, chunksize=1))
-        else:
-            rows = [_run_cell(c) for c in cells]
-    finally:
-        _measurements.cache_clear()
-        _clean.cache_clear()
-    rows.sort(key=lambda r: r.cell_index)
+    # a pool gets each data set's cells in ceil(2 * workers / data sets)
+    # interleaved tasks, so a sweep of few data sets keeps every worker busy
+    k = math.ceil(2 * workers / len(groups)) if workers > 1 else 1
+    tasks = [(spec, key, group[i::k]) for key, group in groups.items()
+             for i in range(min(k, len(group)))]
+    workers = min(workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(_run_data_set, tasks))
+    else:
+        parts = [_run_data_set(t) for t in tasks]
+    rows = sorted((r for part in parts for r in part), key=lambda r: r.cell_index)
     if not quiet:
         for r in rows:
             status = r.error or ("ok" if r.converged else "not converged")
@@ -231,6 +209,7 @@ def read_rows(path) -> list[ResultRow]:
 
 def write_manifest(spec: ExperimentSpec, path) -> None:
     data = {"fadeid_version": __version__, **asdict(spec)}
+    del data["estimator"]["N"], data["estimator"]["L1"]  # swept: n_list, L1_list
     with open(path, "w") as fh:
         yaml.safe_dump(data, fh, sort_keys=False)
 
@@ -403,8 +382,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         spec = args.spec(args) if args.spec else None
-    except ValueError as exc:  # a bad spec is a usage error, like a bad flag
-        print(f"fadeid {args.command}: error: {exc}", file=sys.stderr)
+    except (ValueError, TypeError, OSError, yaml.YAMLError) as exc:
+        # a bad, unknown or unreadable spec is a one-line usage error, like a bad flag
+        print(f"fadeid {args.command}: error: {' '.join(str(exc).split())}", file=sys.stderr)
         return 2
     return args.func(args, spec)
 

@@ -50,16 +50,9 @@ class TestSpecConstruction:
         spec = spec_from_dict({"estimator": {"M": 501}})
         assert spec.grid_points == 501
 
-    def test_dx_alias(self):
-        spec = spec_from_dict({"truth": {"L": 9.0}, "estimator": {"dx": 0.01}})
-        assert spec.grid_points == 901
-
     def test_grid_given_twice_rejected(self):
         with pytest.raises(ValueError, match="not both"):
-            spec_from_dict({"estimator": {"M": 100, "dx": 0.1}})
-        for est in ({"M": 2001}, {"dx": 0.5}):
-            with pytest.raises(ValueError, match="not both"):
-                spec_from_dict({"grid_points": 1001, "estimator": est})
+            spec_from_dict({"grid_points": 1001, "estimator": {"M": 2001}})
 
     @pytest.mark.parametrize("key,sweep", [("N", "n_list"), ("L1", "L1_list")])
     def test_swept_estimator_keys_rejected(self, key, sweep):
@@ -67,8 +60,8 @@ class TestSpecConstruction:
             spec_from_dict({"estimator": {key: 5}})
 
     @pytest.mark.parametrize("data", [
-        {"estimator": {"dx": 0}},
-        {"estimator": {"dx": -0.5}},
+        {"grid_points": 2},
+        {"grid_points": 2701.0},
         {"estimator": {"M": 2}},
         {"estimator": {"M": 2701.0}},
         {"noise_levels": [-0.1]},
@@ -121,22 +114,12 @@ class TestRun:
             math.sqrt((r.err_nu**2 + r.err_d**2) / 2)
         )
 
-    def test_cell_ordering_matches_product(self, monkeypatch):
+    def test_cell_ordering_matches_product(self):
         lists = {"noise_levels": [0.0, 0.01], "n_list": [3, 5], "L1_list": [9.0, 5.0],
                  "seeds": [0, 1]}
         spec = spec_from_dict({**FAST, **lists, "mode": "two-param"})
-        executed = []
-        run_cell = expcli._run_cell
-
-        def recording(cell):
-            executed.append(cell[2:])
-            return run_cell(cell)
-
-        monkeypatch.setattr(expcli, "_run_cell", recording)
         rows = run(spec, workers=1, quiet=True)
-        # cells run data-set-major, by (noise, seed, L1, N) ...
-        assert executed == sorted(executed, key=lambda c: (c[0], c[3], c[2], c[1]))
-        # ... and come back in noise x N x L1 x seed product order
+        # rows come back in noise x N x L1 x seed product order
         assert [r.cell_index for r in rows] == list(range(16))
         assert [(r.noise_level, r.n_funcs, r.L1, r.seed) for r in rows] == list(
             product(*lists.values())
@@ -144,27 +127,21 @@ class TestRun:
         assert all(r.error == "" for r in rows)
 
     def test_each_data_set_synthesized_once(self, monkeypatch):
-        calls = {"synthesize": 0, "add_noise": []}
-        synth, add_noise = expcli.synthesize, expcli.add_noise
+        calls = []
+        synth = expcli.synthesize
 
-        def counting_synthesize(*args, **kwargs):
-            calls["synthesize"] += 1
-            return synth(*args, **kwargs)
-
-        def counting_add_noise(ms, level, seed):
-            calls["add_noise"].append((level, seed))
-            return add_noise(ms, level, seed)
+        def counting_synthesize(truth, M, noise_level, seed):
+            calls.append((noise_level, seed))
+            return synth(truth, M, noise_level, seed)
 
         monkeypatch.setattr(expcli, "synthesize", counting_synthesize)
-        monkeypatch.setattr(expcli, "add_noise", counting_add_noise)
         spec = spec_from_dict({
             **FAST, "mode": "two-param", "noise_levels": [0.0, 0.02],
             "n_list": [3, 5, 7], "L1_list": [9.0, 5.0], "seeds": [0, 1],
         })
         rows = run(spec, workers=1, quiet=True)
         assert len(rows) == 24 and all(r.error == "" for r in rows)
-        assert calls["synthesize"] == 1
-        assert sorted(calls["add_noise"]) == [(0.0, 0), (0.0, 1), (0.02, 0), (0.02, 1)]
+        assert sorted(calls) == [(0.0, 0), (0.0, 1), (0.02, 0), (0.02, 1)]
 
     @pytest.mark.parametrize("mode", ["two-param", "three-param"])
     def test_rows_match_fresh_synthesis(self, mode):
@@ -182,11 +159,6 @@ class TestRun:
                 res = newton_estimate(ms, cfg)
                 nu, d, alpha = res.nu, res.d, res.alpha
             assert (r.est_nu, r.est_d, r.est_alpha) == (nu, d, alpha)
-
-    def test_cached_data_is_released(self):
-        run(spec_from_dict(FAST), workers=1, quiet=True)
-        assert expcli._clean.cache_info().currsize == 0
-        assert expcli._measurements.cache_info().currsize == 0
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers, tmp_path):
@@ -208,7 +180,7 @@ class TestRun:
         assert serial == parallel  # dataclass equality, bit-exact floats
 
     def test_pool_capped_at_cell_count(self, monkeypatch):
-        asked = []
+        asked, tasks = [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -220,15 +192,23 @@ class TestRun:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, cells, chunksize=1):
-                return map(fn, cells)
+            def map(self, fn, items):
+                tasks.append([cells for _, _, cells in items])
+                return map(fn, items)
 
         monkeypatch.setattr(expcli, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(expcli, "_run_cell", lambda cell: ResultRow(cell[1], 0.0, 3, 9.0, 0))
-        spec = spec_from_dict({**FAST, "seeds": [0, 1, 2, 3, 4]})
-        rows = run(spec, workers=64, quiet=True)
-        assert asked == [5]
+        monkeypatch.setattr(expcli, "_run_cell",
+                            lambda spec, ms, idx, *cell: ResultRow(idx, *cell))
+        # five one-cell data sets: one task each, and no more workers than tasks
+        rows = run(spec_from_dict({**FAST, "seeds": [0, 1, 2, 3, 4]}), workers=64, quiet=True)
+        assert asked == [5] and [len(t) for t in tasks[0]] == [1] * 5
         assert [r.cell_index for r in rows] == [0, 1, 2, 3, 4]
+        # one five-cell data set on two workers: split into four interleaved tasks
+        spec = spec_from_dict({**FAST, "n_list": [3, 4, 5, 6, 7]})
+        rows = run(spec, workers=2, quiet=True)
+        assert asked[1] == 2
+        assert [[idx for idx, _, _ in t] for t in tasks[1]] == [[0, 4], [1], [2], [3]]
+        assert [r.n_funcs for r in rows] == [3, 4, 5, 6, 7]
 
     def test_failure_recorded_not_raised(self, monkeypatch):
         def boom(*a, **k):
@@ -240,6 +220,14 @@ class TestRun:
         assert rows[0].error == "RuntimeError: synthetic failure"
         assert not rows[0].converged
         assert math.isnan(rows[0].est_nu)
+
+    def test_synthesis_failure_recorded_per_cell(self):
+        # a negative seed cannot seed the noise generator
+        spec = spec_from_dict({**FAST, "mode": "two-param", "noise_levels": [0.02],
+                               "n_list": [3, 5], "seeds": [-1, 0]})
+        rows = run(spec, workers=1, quiet=True)
+        assert [r.error.startswith("ValueError") for r in rows] == [True, False, True, False]
+        assert [r.converged for r in rows] == [False, True, False, True]
 
 
 class TestRowsCsv:
@@ -273,6 +261,24 @@ class TestManifestAndPlotdata:
         assert data["grid_points"] == 2701
         assert data["mode"] == "three-param"
         assert "fadeid_version" in data
+
+    def test_manifest_loads_back(self, tmp_path):
+        spec = spec_from_dict({**FAST, "noise_levels": [0.0, 0.02], "n_list": [5, 7],
+                               "L1_list": [9.0, 5.0], "seeds": [3, 4]})
+        path = tmp_path / "manifest.yaml"
+        write_manifest(spec, path)
+        assert load_spec(path) == spec
+
+    def test_sweep_reruns_from_its_manifest(self, tmp_path):
+        cfg = write_cfg(tmp_path, {**FAST, "mode": "two-param", "noise_levels": [0.02],
+                                   "n_list": [3, 5], "seeds": [0, 1]})
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["sweep", "--config", str(cfg), "--out", str(first),
+                     "--seed", "11", "--quiet"]) == 0
+        assert main(["sweep", "--config", str(first / "manifest.yaml"),
+                     "--out", str(second), "--quiet"]) == 0
+        results = (first / "results.csv").read_bytes()
+        assert (second / "results.csv").read_bytes() == results
 
     def test_plotdata_files(self, tmp_path):
         rows = [
@@ -375,6 +381,29 @@ class TestMain:
         err = capsys.readouterr().err
         assert rc == 2
         assert err.startswith("fadeid sweep: error: grid_points") and err.count("\n") == 1
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("command", ["estimate", "sweep"])
+    @pytest.mark.parametrize("text", [
+        "estimator: {foo: 2}\n",
+        "nonsense: 3\n",
+        "estimator: {dx: 0.01}\n",
+        "estimator: {M: 2701\nmode: [\n",
+        None,  # no such file
+    ], ids=["unknown-estimator-key", "unknown-top-level-key", "dx", "malformed", "missing"])
+    def test_unusable_spec_file_is_usage_error(self, command, text, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        if text is not None:
+            cfg.write_text(text)
+        argv = [command, "--config", str(cfg)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path / "res")]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"fadeid {command}: error: ")
+        assert captured.err.count("\n") == 1
         assert not (tmp_path / "res").exists()
 
     def test_selftest_smoke(self, capsys):
