@@ -11,7 +11,6 @@ from .synthdata import (
     source_term,
     synthesize,
     add_noise,
-    restrict,
 )
 from .estimator import (
     EstimatorConfig,

@@ -21,7 +21,8 @@ at the fitted (nu, d).
 
 Only B and G depend on alpha.  The measurements are reduced once per
 estimate to a :class:`~fadeid.modfun.DataMoments` (A, C and the alpha-free
-moment block).  :func:`linearize` is the one Stage-1 routine: at a given
+moment block) by :func:`measurement_moments`, which reads only the measured
+channels on [0, L1].  :func:`linearize` is the one Stage-1 routine: at a given
 alpha it forms (B, G) with one small matrix product and takes one SVD of
 [A B], which solves both the Stage-1 system and the derivative system of
 Proposition 1 (same matrix, right-hand side -d*G) and gives the condition
@@ -31,12 +32,13 @@ number of [A B].
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
 
-from .modfun import DataMoments, ModulatingFamily, build_family
-from .synthdata import MeasurementSet, restrict
+from .modfun import DataMoments, build_family
+from .synthdata import MeasurementSet
 
 
 class RankDeficientError(ValueError):
@@ -76,8 +78,8 @@ ALPHA_TOL = 1e-6
 class EstimatorConfig:
     """Knobs for the two-stage estimator.
 
-    The estimator integrates on the measurement grid restricted to [0, L1]
-    (L1 snapped to the nearest node), never on a resampled grid.
+    The estimator integrates the measurement samples on [0, L1] (L1 snapped
+    to the nearest node), never a resampled grid.
     """
 
     L1: float = 9.0
@@ -91,6 +93,8 @@ class EstimatorConfig:
             raise ValueError(f"alpha0 must be in (1, 2], got {self.alpha0}")
         if not (np.isfinite(self.L1) and self.L1 > 0):
             raise ValueError(f"L1 must be positive and finite, got {self.L1}")
+        if not all(isinstance(v, Integral) and v >= 2 for v in (self.N, self.b)):
+            raise ValueError(f"N and b must be integers >= 2, got N={self.N!r}, b={self.b!r}")
         if self.max_iter < 0:
             raise ValueError(f"max_iter must be >= 0, got {self.max_iter}")
 
@@ -107,15 +111,16 @@ class EstimateResult:
     message: str = ""
 
 
-def measurement_moments(ms: MeasurementSet, fam: ModulatingFamily) -> DataMoments:
-    """The family's moments against the measured (noisy) channels; ``ms``
-    must already be restricted to [0, fam.L1]."""
-    return DataMoments(fam, ms.x, ms.c_noisy, ms.dcdt_noisy - ms.r)
-
-
-def _moments(ms: MeasurementSet, config: EstimatorConfig) -> DataMoments:
-    msr = restrict(ms, config.L1)
-    return measurement_moments(msr, build_family(config.N, config.b, float(msr.x[-1])))
+def measurement_moments(ms: MeasurementSet, config: EstimatorConfig) -> DataMoments:
+    """The moments of config's family on [0, L1], L1 snapped to the nearest
+    node, against the measured channels (x, c_noisy, dcdt_noisy, r) alone."""
+    x = ms.x
+    j = int(round(config.L1 / (float(x[-1] - x[0]) / (len(x) - 1))))
+    if j < 2 or j >= len(x):
+        raise ValueError(f"L1={config.L1} does not leave a usable sub-grid")
+    fam = build_family(config.N, config.b, float(x[j]))
+    n = j + 1
+    return DataMoments(fam, x[:n], ms.c_noisy[:n], ms.dcdt_noisy[:n] - ms.r[:n])
 
 
 def linearize(mom: DataMoments, alpha: float) -> Linearization:
@@ -147,21 +152,21 @@ def estimate_two_param(
     ms: MeasurementSet, config: EstimatorConfig, alpha: float
 ) -> tuple[float, float, float]:
     """Stage 1 alone: (nu, d, cond) at a known fractional order."""
-    lin = linearize(_moments(ms, config), alpha)
+    lin = linearize(measurement_moments(ms, config), alpha)
     return lin.nu, lin.d, lin.cond
 
 
 def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResult:
     """Full two-stage iteration for (nu, d, alpha).
 
-    The moments of the restricted measurements are built once; each iterate
+    The moments of the measurements on [0, L1] are built once; each iterate
     calls :func:`linearize` at the current alpha, then takes a clamped
     scalar Gauss-Newton step dalpha = <K', U - K> / <K', K'> projected into
     (1 + 1e-6, 2].  Stops when the alpha step falls below ALPHA_TOL
     (converged, stationary point), or at max_iter (flagged not converged),
     and returns the last iterate with its J = ||K - U||^2.
     """
-    mom = _moments(ms, config)
+    mom = measurement_moments(ms, config)
     U = mom.C
 
     alpha = float(config.alpha0)

@@ -56,11 +56,16 @@ class ExperimentSpec:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         for name in ("noise_levels", "n_list", "L1_list", "seeds"):
-            if not getattr(self, name):
-                raise ValueError(f"sweep list '{name}' must be non-empty")
+            if not (isinstance(getattr(self, name), list) and getattr(self, name)):
+                raise ValueError(f"sweep list '{name}' must be a non-empty list")
         for level in self.noise_levels:
             if not (isinstance(level, Real) and math.isfinite(level) and level >= 0):
                 raise ValueError(f"noise levels must be finite and >= 0, got {level!r}")
+        for seed in self.seeds:
+            if not (isinstance(seed, Integral) and seed >= 0):
+                raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
+        for n, L1 in product(self.n_list, self.L1_list):
+            replace(self.estimator, N=n, L1=L1)  # the estimator's own N and L1 rules
         if self.grid_points is None:
             self.grid_points = int(round(self.truth.L * 1500)) + 1
         if not (isinstance(self.grid_points, Integral) and self.grid_points >= 3):
@@ -89,11 +94,17 @@ class ResultRow:
 CSV_FIELDS = list(ResultRow.__dataclass_fields__)
 
 
+def _mapping(value, name: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{name} must be a mapping, got {type(value).__name__}")
+    return value
+
+
 def spec_from_dict(data: dict) -> ExperimentSpec:
-    data = dict(data)
+    data = dict(_mapping(data, "the spec"))
     data.pop("fadeid_version", None)  # written by write_manifest
-    truth = TrueModel(**data.pop("truth", {}))
-    est_raw = dict(data.pop("estimator", {}))
+    truth = TrueModel(**_mapping(data.pop("truth", {}), "'truth'"))
+    est_raw = dict(_mapping(data.pop("estimator", {}), "'estimator'"))
     for name, sweep in (("N", "n_list"), ("L1", "L1_list")):
         if name in est_raw:
             raise ValueError(f"estimator.{name} is swept; set '{sweep}' instead")
@@ -148,7 +159,7 @@ def _run_data_set(task) -> list[ResultRow]:
     return [_run_cell(spec, ms, idx, noise, n, L1, seed) for idx, n, L1 in cells]
 
 
-def run(spec: ExperimentSpec, workers: int | None = None, quiet: bool = False) -> list[ResultRow]:
+def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
     """Run every (noise, N, L1, seed) cell; failures are recorded, not raised.
 
     Rows come back in ``noise x N x L1 x seed`` product order (``cell_index``).
@@ -172,15 +183,7 @@ def run(spec: ExperimentSpec, workers: int | None = None, quiet: bool = False) -
             parts = list(pool.map(_run_data_set, tasks))
     else:
         parts = [_run_data_set(t) for t in tasks]
-    rows = sorted((r for part in parts for r in part), key=lambda r: r.cell_index)
-    if not quiet:
-        for r in rows:
-            status = r.error or ("ok" if r.converged else "not converged")
-            print(
-                f"cell {r.cell_index:4d} noise={r.noise_level:g} N={r.n_funcs} "
-                f"L1={r.L1:g} seed={r.seed}: {status}"
-            )
-    return rows
+    return sorted((r for part in parts for r in part), key=lambda r: r.cell_index)
 
 
 def _fmt(v) -> str:
@@ -276,7 +279,7 @@ def _estimate_spec(args) -> ExperimentSpec:
 
 
 def _cmd_estimate(args, spec: ExperimentSpec) -> int:
-    (row,) = run(spec, workers=1, quiet=True)
+    (row,) = run(spec, workers=1)
     if row.error:
         print(f"estimation failed: {row.error}", file=sys.stderr)
         return 1
@@ -306,7 +309,12 @@ def _sweep_spec(args) -> ExperimentSpec:
 def _cmd_sweep(args, spec: ExperimentSpec) -> int:
     outdir = Path(spec.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    rows = run(spec, workers=args.workers, quiet=args.quiet)
+    rows = run(spec, workers=args.workers)
+    if not args.quiet:
+        for r in rows:
+            status = r.error or ("ok" if r.converged else "not converged")
+            print(f"cell {r.cell_index:4d} noise={r.noise_level:g} N={r.n_funcs} "
+                  f"L1={r.L1:g} seed={r.seed}: {status}")
     write_rows(rows, outdir / "results.csv")
     write_manifest(spec, outdir / "manifest.yaml")
     emit_plotdata(rows, outdir)

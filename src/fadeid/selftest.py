@@ -13,8 +13,8 @@ from scipy.integrate import trapezoid
 
 from .fracpoly import rl_derivative, rl_alpha_sensitivity
 from .modfun import build_family
-from .synthdata import TrueModel, synthesize, restrict
-from .estimator import linearize, measurement_moments
+from .synthdata import TrueModel, synthesize
+from .estimator import EstimatorConfig, linearize, measurement_moments
 
 
 def check_integer_order() -> tuple[bool, str]:
@@ -56,8 +56,8 @@ def check_sensitivity_fd() -> tuple[bool, str]:
 
 
 def check_residual_identity() -> tuple[bool, str]:
-    ms = restrict(synthesize(TrueModel(), 1351, noise_level=0.03, seed=7), 9.0)
-    mom = measurement_moments(ms, build_family(4, 3, 9.0))
+    ms = synthesize(TrueModel(), 1351, noise_level=0.03, seed=7)
+    mom = measurement_moments(ms, EstimatorConfig(L1=9.0, N=4))
     B, _ = mom.fractional_columns(1.7)
     nu, d = np.linalg.lstsq(np.column_stack([mom.A, B]), mom.C, rcond=None)[0]
     lsq_resid = nu * mom.A + d * B - mom.C
@@ -67,8 +67,7 @@ def check_residual_identity() -> tuple[bool, str]:
 
 
 def check_gradient_fd() -> tuple[bool, str]:
-    ms = restrict(synthesize(TrueModel(nu=0.5), 1351), 9.0)
-    mom = measurement_moments(ms, build_family(3, 3, 9.0))
+    mom = measurement_moments(synthesize(TrueModel(nu=0.5), 1351), EstimatorConfig(L1=9.0, N=3))
     alpha, h = 1.75, 1e-4
     analytic = linearize(mom, alpha).Kp
     fd = (linearize(mom, alpha + h).K - linearize(mom, alpha - h).K) / (2 * h)

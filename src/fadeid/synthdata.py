@@ -71,11 +71,6 @@ class MeasurementSet:
             if len(getattr(self, name)) != n:
                 raise ValueError(f"array length mismatch on '{name}'")
 
-    @property
-    def dx(self) -> float:
-        """Mean node spacing; uniformity is checked where the samples are integrated."""
-        return float(self.x[-1] - self.x[0]) / (len(self.x) - 1)
-
 
 def exact_solution(model: TrueModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (c, dc/dt) at time model.T on the given grid."""
@@ -127,23 +122,6 @@ def add_noise(ms: MeasurementSet, level: float, seed: int) -> MeasurementSet:
     c_noisy = ms.c + sig_c * rng.standard_normal(len(ms.c))
     dcdt_noisy = ms.dcdt + sig_f * rng.standard_normal(len(ms.dcdt))
     return replace(ms, c_noisy=c_noisy, dcdt_noisy=dcdt_noisy)
-
-
-def restrict(ms: MeasurementSet, L1: float) -> MeasurementSet:
-    """Restriction to [0, L1] with L1 snapped to the nearest grid node."""
-    j = int(round(L1 / ms.dx))
-    if j < 2 or j >= len(ms.x):
-        raise ValueError(f"L1={L1} does not leave a usable sub-grid")
-    sl = slice(0, j + 1)
-    return replace(
-        ms,
-        x=ms.x[sl],
-        c=ms.c[sl],
-        dcdt=ms.dcdt[sl],
-        r=ms.r[sl],
-        c_noisy=ms.c_noisy[sl],
-        dcdt_noisy=ms.dcdt_noisy[sl],
-    )
 
 
 CSV_HEADER = ["x", "c", "dcdt", "r", "c_noisy", "dcdt_noisy"]

@@ -2,25 +2,22 @@
 
 One test per acceptance criterion, each emitting a single PASS/FAIL line
 at its stated tolerance.  Criteria that measure Monte-Carlo statistics use
-20 fixed seeds and run their estimation cells in a process pool.
+20 fixed seeds and run their estimation cells through the sweep runner.
 """
-
-import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
 from fadeid.fracpoly import rl_derivative, rl_alpha_sensitivity
-from fadeid.modfun import build_family
-from fadeid.synthdata import TrueModel, synthesize, restrict
+from fadeid.synthdata import TrueModel, synthesize
 from fadeid.estimator import (
     EstimatorConfig,
     linearize,
     measurement_moments,
-    newton_estimate,
+    estimate_two_param,
 )
+from fadeid.expcli import ExperimentSpec, run
 from fadeid.selftest import CHECKS
 
 EXAMPLE1 = TrueModel(nu=0.2, d=1.0, alpha=1.8, L=9.0, T=1.0)
@@ -36,30 +33,26 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 
 def two_param_errors(model, M, L1, noise, seed):
-    ms = restrict(synthesize(model, M, noise_level=noise, seed=seed), L1)
-    mom = measurement_moments(ms, build_family(3, 3, float(ms.x[-1])))
-    nu, d = linearize(mom, model.alpha)[:2]
+    ms = synthesize(model, M, noise_level=noise, seed=seed)
+    nu, d, _ = estimate_two_param(ms, EstimatorConfig(L1=L1, N=3, b=3), model.alpha)
     return abs(nu - model.nu) / abs(model.nu), abs(d - model.d) / abs(model.d)
 
 
-def _newton_cell(args):
-    N, noise, seed = args
-    ms = synthesize(TABLE1, M_3500, noise_level=noise, seed=seed)
-    res = newton_estimate(ms, EstimatorConfig(L1=9.0, N=N, b=3, alpha0=1.4))
-    return (
-        N,
-        seed,
-        res.converged,
-        abs(res.nu - TABLE1.nu) / TABLE1.nu,
-        abs(res.d - TABLE1.d) / TABLE1.d,
-        abs(res.alpha - TABLE1.alpha) / TABLE1.alpha,
-    )
-
-
 def newton_sweep(n_values, noise):
-    jobs = [(N, noise, s) for N in n_values for s in SEEDS]
-    with ProcessPoolExecutor(max_workers=len(os.sched_getaffinity(0))) as pool:
-        return list(pool.map(_newton_cell, jobs, chunksize=1))
+    """Three-parameter sweep rows on Table-1 data, L1 = 9, seeds 0..19."""
+    spec = ExperimentSpec(
+        truth=TABLE1, estimator=EstimatorConfig(b=3, alpha0=1.4), noise_levels=[noise],
+        n_list=list(n_values), L1_list=[9.0], seeds=list(SEEDS), grid_points=M_3500,
+    )
+    rows = run(spec)
+    errors = [r.error for r in rows if r.error]
+    assert not errors, errors
+    return rows
+
+
+def mean_errors(rows):
+    return [float(np.mean([getattr(r, f) for r in rows]))
+            for f in ("err_nu", "err_d", "err_alpha")]
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +97,7 @@ def test_criterion_2_noisy_two_param():
 
 
 def test_criterion_3a_three_param_convergence(table1_sweep):
-    bad = [(N, s) for N, s, conv, *_ in table1_sweep if not conv]
+    bad = [(r.n_funcs, r.seed) for r in table1_sweep if not r.converged]
     report(
         "criterion 3a (2% noise, N=3..11: convergence for every N and seed)",
         not bad,
@@ -113,7 +106,7 @@ def test_criterion_3a_three_param_convergence(table1_sweep):
 
 
 def test_criterion_3b_three_param_per_seed(table1_sweep):
-    worst = max(max(en, ed, ea) for _, _, _, en, ed, ea in table1_sweep)
+    worst = max(max(r.err_nu, r.err_d, r.err_alpha) for r in table1_sweep)
     report(
         "criterion 3b (2% noise: per-seed rel errors <= 2e-2)",
         worst <= 2e-2,
@@ -124,9 +117,8 @@ def test_criterion_3b_three_param_per_seed(table1_sweep):
 def test_criterion_3c_three_param_mean(table1_sweep):
     detail = []
     ok = True
-    for N in sorted({N for N, *_ in table1_sweep}):
-        rows = [r for r in table1_sweep if r[0] == N]
-        mn = [float(np.mean([r[i] for r in rows])) for i in (3, 4, 5)]
+    for N in sorted({r.n_funcs for r in table1_sweep}):
+        mn = mean_errors([r for r in table1_sweep if r.n_funcs == N])
         ok &= all(m <= 5e-3 for m in mn)
         detail.append(f"N={N}: nu={mn[0]:.2e} d={mn[1]:.2e} alpha={mn[2]:.2e}")
     report(
@@ -138,8 +130,8 @@ def test_criterion_3c_three_param_mean(table1_sweep):
 
 def test_criterion_4_ten_percent_noise():
     rows = newton_sweep([7], 0.10)
-    conv = all(r[2] for r in rows)
-    mn = [float(np.mean([r[i] for r in rows])) for i in (3, 4, 5)]
+    conv = all(r.converged for r in rows)
+    mn = mean_errors(rows)
     ok = conv and all(m <= 5e-2 for m in mn)
     report(
         "criterion 4 (10% noise at N=7, 20 seeds)",
@@ -166,8 +158,7 @@ def test_criterion_5_property_suite():
     if errs[1] > errs[0] / 20:
         failures.append("sensitivity FD error not O(h^2)")
 
-    ms = restrict(synthesize(EXAMPLE1, 2701), 9.0)
-    mom = measurement_moments(ms, build_family(3, 3, 9.0))
+    mom = measurement_moments(synthesize(EXAMPLE1, 2701), EstimatorConfig(L1=9.0, N=3))
     alpha = 1.8
 
     analytic = linearize(mom, alpha).Kp
@@ -186,10 +177,10 @@ def test_criterion_5_property_suite():
 
 
 def test_criterion_6_conditioning_monotone():
-    ms = restrict(synthesize(EXAMPLE1, M_1500), 9.0)
+    ms = synthesize(EXAMPLE1, M_1500)
     conds = []
     for N in range(3, 21):
-        mom = measurement_moments(ms, build_family(N, 3, 9.0))
+        mom = measurement_moments(ms, EstimatorConfig(L1=9.0, N=N))
         conds.append(linearize(mom, 1.8).cond)
     monotone = all(b > a for a, b in zip(conds, conds[1:]))
     report(

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from fadeid.modfun import build_family
-from fadeid.synthdata import TrueModel, synthesize, restrict
+from fadeid.modfun import DataMoments, build_family
+from fadeid.synthdata import TrueModel, synthesize
 from fadeid.estimator import (
     EstimatorConfig,
     RankDeficientError,
@@ -19,12 +19,12 @@ TABLE1 = TrueModel(nu=0.5, d=1.0, alpha=1.8, L=9.0, T=1.0)
 
 @pytest.fixture(scope="module")
 def clean_13501():
-    return restrict(synthesize(CANONICAL, 13501), 9.0)
+    return synthesize(CANONICAL, 13501)
 
 
 @pytest.fixture(scope="module")
-def fam3():
-    return build_family(3, 3, 9.0)
+def cfg3():
+    return EstimatorConfig(L1=9.0, N=3)
 
 
 class Columns:
@@ -39,8 +39,8 @@ class Columns:
         return self.B, self.G
 
 
-def fit(ms, fam, alpha):
-    mom = measurement_moments(ms, fam)
+def fit(ms, cfg, alpha):
+    mom = measurement_moments(ms, cfg)
     return linearize(mom, alpha), mom
 
 
@@ -84,58 +84,59 @@ class TestSolve2Col:
             linearize(Columns(z, z, z), 1.8)
 
     def test_cond_matches_numpy(self, clean_13501):
-        mom = measurement_moments(clean_13501, build_family(5, 3, 9.0))
+        mom = measurement_moments(clean_13501, EstimatorConfig(L1=9.0, N=5))
         B, _ = mom.fractional_columns(1.6)
         ref = np.linalg.cond(np.column_stack([mom.A, B]))
         assert linearize(mom, 1.6).cond == pytest.approx(ref, rel=1e-12)
 
 
 class TestAssembleTheorem1:
-    def test_noise_free_recovery(self, clean_13501, fam3):
-        lin, _ = fit(clean_13501, fam3, 1.8)
+    def test_noise_free_recovery(self, clean_13501, cfg3):
+        lin, _ = fit(clean_13501, cfg3, 1.8)
         assert abs(lin.nu - 0.2) / 0.2 <= 1e-3
         assert abs(lin.d - 1.0) <= 1e-3
 
-    def test_degenerate_zero_measurements(self, fam3):
-        ms = restrict(synthesize(CANONICAL, 1351), 9.0)
+    def test_degenerate_zero_measurements(self, cfg3):
+        ms = synthesize(CANONICAL, 1351)
         zero = replace(ms, c=0 * ms.c, dcdt=0 * ms.dcdt, r=0 * ms.r,
                        c_noisy=0 * ms.c, dcdt_noisy=0 * ms.dcdt)
-        mom = measurement_moments(zero, fam3)
+        mom = measurement_moments(zero, cfg3)
         B, _ = mom.fractional_columns(1.8)
         assert np.all(mom.A == 0) and np.all(B == 0) and np.all(mom.C == 0)
         with pytest.raises(RankDeficientError):
             linearize(mom, 1.8)
 
-    def test_homogeneity(self, fam3):
-        ms = restrict(synthesize(CANONICAL, 1351), 9.0)
+    def test_homogeneity(self, cfg3):
+        ms = synthesize(CANONICAL, 1351)
         doubled = replace(ms, c=2 * ms.c, dcdt=2 * ms.dcdt, r=2 * ms.r,
                           c_noisy=2 * ms.c_noisy, dcdt_noisy=2 * ms.dcdt_noisy)
-        m1 = measurement_moments(ms, fam3)
-        m2 = measurement_moments(doubled, fam3)
+        m1 = measurement_moments(ms, cfg3)
+        m2 = measurement_moments(doubled, cfg3)
         np.testing.assert_allclose(m2.A, 2 * m1.A, rtol=1e-14)
         np.testing.assert_allclose(m2.C, 2 * m1.C, rtol=1e-14)
         for got, ref in zip(m2.fractional_columns(1.8), m1.fractional_columns(1.8)):
             np.testing.assert_allclose(got, 2 * ref, rtol=1e-14)
         assert linearize(m2, 1.8)[:2] == pytest.approx(linearize(m1, 1.8)[:2], rel=1e-12)
 
-    def test_grid_mismatch_rejected(self, fam3):
-        # the family lives on [0, 9]; measurements restricted to [0, 5] do not span it
-        ms = restrict(synthesize(CANONICAL, 1351), 5.0)
+    def test_grid_mismatch_rejected(self):
+        # the family lives on [0, 9]; the samples on [0, 5] do not span it
+        ms = synthesize(CANONICAL, 1351)
+        n = 751  # x[750] = 5
+        rhs = ms.dcdt_noisy[:n] - ms.r[:n]
         with pytest.raises(ValueError):
-            measurement_moments(ms, fam3)
+            DataMoments(build_family(3, 3, 9.0), ms.x[:n], ms.c_noisy[:n], rhs)
 
-    def test_row_permutation_leaves_solution_unchanged(self, clean_13501, fam3):
-        lin, mom = fit(clean_13501, fam3, 1.8)
+    def test_row_permutation_leaves_solution_unchanged(self, clean_13501, cfg3):
+        lin, mom = fit(clean_13501, cfg3, 1.8)
         perm = [2, 0, 1]
         B, G = mom.fractional_columns(1.8)
         permuted = Columns(mom.A[perm], B[perm], mom.C[perm], G[perm])
         assert linearize(permuted, 1.8)[:2] == pytest.approx(lin[:2], rel=1e-12)
 
-    def test_convergence_rate_in_grid(self, fam3):
+    def test_convergence_rate_in_grid(self, cfg3):
         errs = []
         for M in (13501, 27001):
-            ms = restrict(synthesize(CANONICAL, M), 9.0)
-            lin, _ = fit(ms, fam3, 1.8)
+            lin, _ = fit(synthesize(CANONICAL, M), cfg3, 1.8)
             errs.append(abs(lin.nu - 0.2) / 0.2 + abs(lin.d - 1.0))
         assert errs[1] <= errs[0] / 2
 
@@ -147,23 +148,23 @@ class TestAssembleTheorem1:
 class TestProp1:
     """The derivative system [A B] (dnu, dd) = -d*G, solved by linearize."""
 
-    def test_derivative_solve_matches_lstsq(self, clean_13501, fam3):
-        lin, mom = fit(clean_13501, fam3, 1.75)
+    def test_derivative_solve_matches_lstsq(self, clean_13501, cfg3):
+        lin, mom = fit(clean_13501, cfg3, 1.75)
         B, G = mom.fractional_columns(1.75)
         ref = np.linalg.lstsq(np.column_stack([mom.A, B]), -lin.d * G, rcond=None)[0]
         np.testing.assert_allclose([lin.dnu, lin.dd], ref, rtol=1e-10)
 
-    def test_zero_dispersion_gives_zero_solution(self, clean_13501, fam3):
-        mom = measurement_moments(clean_13501, fam3)
+    def test_zero_dispersion_gives_zero_solution(self, clean_13501, cfg3):
+        mom = measurement_moments(clean_13501, cfg3)
         B, G = mom.fractional_columns(1.8)
         lin = linearize(Columns(mom.A, B, np.zeros_like(mom.C), G), 1.8)
         assert lin.d == 0.0
         assert lin.dnu == 0.0 and lin.dd == 0.0
         assert np.all(lin.Kp == 0.0)
 
-    def test_finite_difference_oracle(self, clean_13501, fam3):
+    def test_finite_difference_oracle(self, clean_13501, cfg3):
         alpha, h = 1.8, 1e-4
-        mom = measurement_moments(clean_13501, fam3)
+        mom = measurement_moments(clean_13501, cfg3)
         lin, lin_p, lin_m = (linearize(mom, a) for a in (alpha, alpha + h, alpha - h))
         fd_nu = (lin_p.nu - lin_m.nu) / (2 * h)
         fd_d = (lin_p.d - lin_m.d) / (2 * h)
@@ -172,20 +173,20 @@ class TestProp1:
 
 
 class TestResidualKU:
-    def test_equals_least_squares_residual(self, clean_13501, fam3):
-        lin, mom = fit(clean_13501, fam3, 1.75)
+    def test_equals_least_squares_residual(self, clean_13501, cfg3):
+        lin, mom = fit(clean_13501, cfg3, 1.75)
         B, _ = mom.fractional_columns(1.75)
         nu, d = np.linalg.lstsq(np.column_stack([mom.A, B]), mom.C, rcond=None)[0]
         lsq = nu * mom.A + d * B - mom.C
         assert np.abs((lin.K - mom.C) - lsq).max() <= 1e-12 * max(np.abs(lsq).max(), 1e-300)
 
-    def test_small_at_truth(self, clean_13501, fam3):
-        lin, mom = fit(clean_13501, fam3, 1.8)
+    def test_small_at_truth(self, clean_13501, cfg3):
+        lin, mom = fit(clean_13501, cfg3, 1.8)
         assert J_of(lin, mom) <= 1e-6 * float(np.sum(mom.C**2))
 
-    def test_larger_away_from_truth(self, clean_13501, fam3):
+    def test_larger_away_from_truth(self, clean_13501, cfg3):
         def J(alpha):
-            return J_of(*fit(clean_13501, fam3, alpha))
+            return J_of(*fit(clean_13501, cfg3, alpha))
 
         assert J(1.8) < J(1.6)
         assert J(1.8) < J(2.0)
@@ -203,25 +204,46 @@ class TestGradientKprime:
             (1.7, 1e-2),
         ],
     )
-    def test_finite_difference_oracle(self, clean_13501, fam3, alpha, tol):
+    def test_finite_difference_oracle(self, clean_13501, cfg3, alpha, tol):
         h = 1e-4
-        mom = measurement_moments(clean_13501, fam3)
+        mom = measurement_moments(clean_13501, cfg3)
         fd = (linearize(mom, alpha + h).K - linearize(mom, alpha - h).K) / (2 * h)
         assert np.abs(linearize(mom, alpha).Kp - fd).max() <= tol * np.abs(fd).max()
 
-    def test_zero_when_all_derivative_inputs_vanish(self, clean_13501, fam3):
-        mom = measurement_moments(clean_13501, fam3)
+    def test_zero_when_all_derivative_inputs_vanish(self, clean_13501, cfg3):
+        mom = measurement_moments(clean_13501, cfg3)
         B, _ = mom.fractional_columns(1.8)
         lin = linearize(Columns(mom.A, B, mom.C), 1.8)
         assert lin.dnu == 0.0 and lin.dd == 0.0
         assert np.all(lin.Kp == 0.0)
 
-    def test_descent_direction_from_below(self, fam3):
+    def test_descent_direction_from_below(self, cfg3):
         # starting below the true order, the Gauss-Newton step must increase alpha
-        ms = restrict(synthesize(TABLE1, 13501), 9.0)
-        lin, mom = fit(ms, fam3, 1.4)
+        lin, mom = fit(synthesize(TABLE1, 13501), cfg3, 1.4)
         step = float(lin.Kp @ (mom.C - lin.K)) / float(lin.Kp @ lin.Kp)
         assert step > 0
+
+
+class TestMeasurementMoments:
+    def test_restrict_snaps_to_node(self):
+        ms = synthesize(CANONICAL, 91)  # dx = 0.1
+        mom = measurement_moments(ms, EstimatorConfig(L1=4.96, N=3))
+        # the integrated nodes, x = 0 left out
+        assert mom.xp[-1] == pytest.approx(5.0)
+        assert len(mom.xp) + 1 == 51
+
+    def test_restrict_out_of_range(self):
+        ms = synthesize(CANONICAL, 91)
+        with pytest.raises(ValueError):
+            measurement_moments(ms, EstimatorConfig(L1=11.0, N=3))
+
+    def test_estimates_read_only_measured_channels(self):
+        # the clean channels are synthetic truth: replacing them changes nothing
+        ms = synthesize(TABLE1, 4501, noise_level=0.02, seed=0)
+        blind = replace(ms, c=np.full_like(ms.c, np.nan), dcdt=np.full_like(ms.dcdt, np.nan))
+        for cfg in (EstimatorConfig(L1=9.0, N=3), EstimatorConfig(L1=5.0, N=7)):
+            assert newton_estimate(blind, cfg) == newton_estimate(ms, cfg)
+            assert estimate_two_param(blind, cfg, 1.8) == estimate_two_param(ms, cfg, 1.8)
 
 
 class TestNewtonEstimate:
@@ -330,6 +352,10 @@ class TestConfigValidation:
             {"max_iter": -1},
             {"L1": float("nan")},
             {"L1": float("inf")},
+            {"N": 1},
+            {"N": 3.0},
+            {"b": 1},
+            {"b": "3"},
         ],
     )
     def test_invalid_config(self, kwargs):

@@ -66,6 +66,13 @@ class TestSpecConstruction:
         {"estimator": {"M": 2701.0}},
         {"noise_levels": [-0.1]},
         {"noise_levels": [0.0, float("nan")]},
+        {"seeds": 3},
+        {"seeds": [0.5]},
+        {"seeds": [-1], "noise_levels": [0.02]},
+        {"n_list": [3, 1.5]},
+        {"n_list": [1]},
+        {"L1_list": [-1.0]},
+        {"estimator": {"b": 2.5}},
     ])
     def test_bad_grid_or_noise_rejected_at_load(self, data):
         with pytest.raises(ValueError):
@@ -94,7 +101,7 @@ class TestSpecConstruction:
 class TestRun:
     def test_single_cell_three_param(self):
         spec = spec_from_dict(FAST)
-        rows = run(spec, workers=1, quiet=True)
+        rows = run(spec, workers=1)
         assert len(rows) == 1
         r = rows[0]
         assert r.error == ""
@@ -106,7 +113,7 @@ class TestRun:
 
     def test_two_param_mode(self):
         spec = spec_from_dict({**FAST, "mode": "two-param"})
-        rows = run(spec, workers=1, quiet=True)
+        rows = run(spec, workers=1)
         r = rows[0]
         assert r.est_alpha == spec.truth.alpha
         assert r.iterations == 0
@@ -118,7 +125,7 @@ class TestRun:
         lists = {"noise_levels": [0.0, 0.01], "n_list": [3, 5], "L1_list": [9.0, 5.0],
                  "seeds": [0, 1]}
         spec = spec_from_dict({**FAST, **lists, "mode": "two-param"})
-        rows = run(spec, workers=1, quiet=True)
+        rows = run(spec, workers=1)
         # rows come back in noise x N x L1 x seed product order
         assert [r.cell_index for r in rows] == list(range(16))
         assert [(r.noise_level, r.n_funcs, r.L1, r.seed) for r in rows] == list(
@@ -139,7 +146,7 @@ class TestRun:
             **FAST, "mode": "two-param", "noise_levels": [0.0, 0.02],
             "n_list": [3, 5, 7], "L1_list": [9.0, 5.0], "seeds": [0, 1],
         })
-        rows = run(spec, workers=1, quiet=True)
+        rows = run(spec, workers=1)
         assert len(rows) == 24 and all(r.error == "" for r in rows)
         assert sorted(calls) == [(0.0, 0), (0.0, 1), (0.02, 0), (0.02, 1)]
 
@@ -149,7 +156,7 @@ class TestRun:
             **FAST, "mode": mode, "noise_levels": [0.0, 0.02], "n_list": [3, 5],
             "L1_list": [9.0, 5.0], "seeds": [0, 1],
         })
-        for r in run(spec, workers=1, quiet=True):
+        for r in run(spec, workers=1):
             ms = synthesize(spec.truth, spec.grid_points, r.noise_level, r.seed)
             cfg = EstimatorConfig(L1=r.L1, N=r.n_funcs, alpha0=1.4)
             if mode == "two-param":
@@ -163,7 +170,7 @@ class TestRun:
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers, tmp_path):
         with pytest.raises(ValueError, match="workers"):
-            run(spec_from_dict(FAST), workers=workers, quiet=True)
+            run(spec_from_dict(FAST), workers=workers)
         cfg = write_cfg(tmp_path, FAST)
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "res"),
@@ -175,8 +182,8 @@ class TestRun:
         spec = spec_from_dict(
             {**FAST, "mode": "two-param", "seeds": [0, 1], "noise_levels": [0.0, 0.02]}
         )
-        serial = run(spec, workers=1, quiet=True)
-        parallel = run(spec, workers=4, quiet=True)
+        serial = run(spec, workers=1)
+        parallel = run(spec, workers=4)
         assert serial == parallel  # dataclass equality, bit-exact floats
 
     def test_pool_capped_at_cell_count(self, monkeypatch):
@@ -200,12 +207,12 @@ class TestRun:
         monkeypatch.setattr(expcli, "_run_cell",
                             lambda spec, ms, idx, *cell: ResultRow(idx, *cell))
         # five one-cell data sets: one task each, and no more workers than tasks
-        rows = run(spec_from_dict({**FAST, "seeds": [0, 1, 2, 3, 4]}), workers=64, quiet=True)
+        rows = run(spec_from_dict({**FAST, "seeds": [0, 1, 2, 3, 4]}), workers=64)
         assert asked == [5] and [len(t) for t in tasks[0]] == [1] * 5
         assert [r.cell_index for r in rows] == [0, 1, 2, 3, 4]
         # one five-cell data set on two workers: split into four interleaved tasks
         spec = spec_from_dict({**FAST, "n_list": [3, 4, 5, 6, 7]})
-        rows = run(spec, workers=2, quiet=True)
+        rows = run(spec, workers=2)
         assert asked[1] == 2
         assert [[idx for idx, _, _ in t] for t in tasks[1]] == [[0, 4], [1], [2], [3]]
         assert [r.n_funcs for r in rows] == [3, 4, 5, 6, 7]
@@ -216,16 +223,23 @@ class TestRun:
 
         monkeypatch.setattr(expcli, "newton_estimate", boom)
         spec = spec_from_dict(FAST)
-        rows = run(spec, workers=1, quiet=True)
+        rows = run(spec, workers=1)
         assert rows[0].error == "RuntimeError: synthetic failure"
         assert not rows[0].converged
         assert math.isnan(rows[0].est_nu)
 
-    def test_synthesis_failure_recorded_per_cell(self):
-        # a negative seed cannot seed the noise generator
+    def test_synthesis_failure_recorded_per_cell(self, monkeypatch):
+        synth = expcli.synthesize
+
+        def failing_synthesize(truth, M, noise_level, seed):
+            if seed == 1:
+                raise ValueError("synthetic failure")
+            return synth(truth, M, noise_level, seed)
+
+        monkeypatch.setattr(expcli, "synthesize", failing_synthesize)
         spec = spec_from_dict({**FAST, "mode": "two-param", "noise_levels": [0.02],
-                               "n_list": [3, 5], "seeds": [-1, 0]})
-        rows = run(spec, workers=1, quiet=True)
+                               "n_list": [3, 5], "seeds": [1, 0]})
+        rows = run(spec, workers=1)
         assert [r.error.startswith("ValueError") for r in rows] == [True, False, True, False]
         assert [r.converged for r in rows] == [False, True, False, True]
 
@@ -233,7 +247,7 @@ class TestRun:
 class TestRowsCsv:
     def test_round_trip(self, tmp_path):
         spec = spec_from_dict({**FAST, "mode": "two-param", "seeds": [0, 1]})
-        rows = run(spec, workers=1, quiet=True)
+        rows = run(spec, workers=1)
         path = tmp_path / "results.csv"
         write_rows(rows, path)
         assert read_rows(path) == rows
@@ -246,8 +260,8 @@ class TestRowsCsv:
     def test_determinism_byte_identical(self, tmp_path):
         spec = spec_from_dict({**FAST, "noise_levels": [0.03], "seeds": [5]})
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_rows(run(spec, workers=1, quiet=True), a)
-        write_rows(run(spec, workers=1, quiet=True), b)
+        write_rows(run(spec, workers=1), a)
+        write_rows(run(spec, workers=1), b)
         assert a.read_bytes() == b.read_bytes()
 
 
@@ -384,14 +398,24 @@ class TestMain:
         assert not (tmp_path / "res").exists()
 
     @pytest.mark.parametrize("command", ["estimate", "sweep"])
-    @pytest.mark.parametrize("text", [
-        "estimator: {foo: 2}\n",
-        "nonsense: 3\n",
-        "estimator: {dx: 0.01}\n",
-        "estimator: {M: 2701\nmode: [\n",
-        None,  # no such file
-    ], ids=["unknown-estimator-key", "unknown-top-level-key", "dx", "malformed", "missing"])
-    def test_unusable_spec_file_is_usage_error(self, command, text, tmp_path, capsys):
+    @pytest.mark.parametrize("text,key", [
+        ("estimator: {foo: 2}\n", "foo"),
+        ("nonsense: 3\n", "nonsense"),
+        ("estimator: {dx: 0.01}\n", "dx"),
+        ("estimator: {M: 2701\nmode: [\n", None),
+        (None, None),  # no such file
+        ("- 1\n- 2\n", "spec"),
+        ("truth: 3\n", "truth"),
+        ("estimator: 3\n", "estimator"),
+        ("seeds: 3\n", "seeds"),
+        ("seeds: [0.5]\n", "seeds"),
+        ("seeds: [-1]\nnoise_levels: [0.02]\n", "seeds"),
+        ("n_list: [3, 1.5]\n", "N"),
+        ("L1_list: [-1.0]\n", "L1"),
+    ], ids=["unknown-estimator-key", "unknown-top-level-key", "dx", "malformed", "missing",
+            "top-level-list", "truth-not-mapping", "estimator-not-mapping", "seeds-not-list",
+            "fractional-seed", "negative-seed", "fractional-N", "negative-L1"])
+    def test_unusable_spec_file_is_usage_error(self, command, text, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         if text is not None:
             cfg.write_text(text)
@@ -404,6 +428,17 @@ class TestMain:
         assert captured.out == ""
         assert captured.err.startswith(f"fadeid {command}: error: ")
         assert captured.err.count("\n") == 1
+        if key is not None:
+            assert key in captured.err
+        assert not (tmp_path / "res").exists()
+
+    def test_negative_shifted_seed_is_usage_error(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {**FAST, "seeds": [0, 3]})
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "res"),
+                   "--seed", "-2"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err == "fadeid sweep: error: seeds must be integers >= 0, got -2\n"
         assert not (tmp_path / "res").exists()
 
     def test_selftest_smoke(self, capsys):

@@ -8,7 +8,7 @@ from scipy.integrate import trapezoid
 
 from fadeid.fracpoly import rl_derivative, rl_alpha_sensitivity
 from fadeid.modfun import DataMoments, build_family
-from fadeid.synthdata import TrueModel, synthesize, restrict
+from fadeid.synthdata import TrueModel, synthesize
 
 TABLE1 = TrueModel(nu=0.5, d=1.0, alpha=1.8, L=9.0, T=1.0)
 
@@ -135,7 +135,7 @@ class TestDataMoments:
 
     @pytest.fixture(scope="class")
     def table1(self):
-        return restrict(synthesize(TABLE1, 31501, noise_level=0.02, seed=0), 9.0)
+        return synthesize(TABLE1, 31501, noise_level=0.02, seed=0)
 
     @pytest.mark.parametrize("N,tol", [(3, 1e-8), (7, 1e-8), (11, 1e-6)])
     @pytest.mark.parametrize("alpha", [1.3, 1.8, 2.0])
@@ -196,7 +196,7 @@ class TestMpmathOracle:
 
     @pytest.fixture(scope="class")
     def data(self):
-        ms = restrict(synthesize(TABLE1, 451, noise_level=0.02, seed=0), 9.0)
+        ms = synthesize(TABLE1, 451, noise_level=0.02, seed=0)
         return ms.x, ms.c_noisy
 
     @pytest.fixture(scope="class", params=[1.3, 1.8, 2.0])

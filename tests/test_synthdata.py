@@ -12,7 +12,6 @@ from fadeid.synthdata import (
     source_term,
     synthesize,
     add_noise,
-    restrict,
     to_csv,
     from_csv,
 )
@@ -126,16 +125,6 @@ class TestMeasurementSet:
         with pytest.raises(ValueError):
             MeasurementSet(np.zeros(5), z, z, z, z, z)
 
-    def test_restrict_snaps_to_node(self):
-        ms = synthesize(CANONICAL, 91)  # dx = 0.1
-        sub = restrict(ms, 4.96)
-        assert sub.x[-1] == pytest.approx(5.0)
-        assert len(sub.x) == 51
-
-    def test_restrict_out_of_range(self):
-        ms = synthesize(CANONICAL, 91)
-        with pytest.raises(ValueError):
-            restrict(ms, 11.0)
 
 
 class TestCsvRoundTrip:
