@@ -2,7 +2,6 @@
 for a space fractional advection-dispersion equation from final-time
 concentration and flux measurements."""
 
-from .fracpoly import rl_derivative, rl_alpha_sensitivity
 from .modfun import ModulatingFamily, DataMoments, build_family
 from .synthdata import (
     TrueModel,

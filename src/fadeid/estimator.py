@@ -111,13 +111,20 @@ class EstimateResult:
     message: str = ""
 
 
+def snap_node(L1: float, span: float, M: int) -> int:
+    """The index j of the node nearest L1 on M uniform points spanning
+    [0, span]; [0, x_j] must hold at least 3 points, so 2 <= j < M."""
+    j = int(round(L1 / (span / (M - 1))))
+    if j < 2 or j >= M:
+        raise ValueError(f"L1={L1} does not leave a usable sub-grid")
+    return j
+
+
 def measurement_moments(ms: MeasurementSet, config: EstimatorConfig) -> DataMoments:
     """The moments of config's family on [0, L1], L1 snapped to the nearest
     node, against the measured channels (x, c_noisy, dcdt_noisy, r) alone."""
     x = ms.x
-    j = int(round(config.L1 / (float(x[-1] - x[0]) / (len(x) - 1))))
-    if j < 2 or j >= len(x):
-        raise ValueError(f"L1={config.L1} does not leave a usable sub-grid")
+    j = snap_node(config.L1, float(x[-1] - x[0]), len(x))
     fam = build_family(config.N, config.b, float(x[j]))
     n = j + 1
     return DataMoments(fam, x[:n], ms.c_noisy[:n], ms.dcdt_noisy[:n] - ms.r[:n])

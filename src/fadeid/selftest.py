@@ -1,30 +1,29 @@
 """Built-in invariant checks, runnable without any experiment data.
 
-Each check exercises one structural identity of the method against an
-independent route (exact calculus, finite differences, or direct
-quadrature) and reports PASS/FAIL.
+Each check holds the estimator's own moments (B, G of DataMoments) or its
+linearization to one structural identity, computed by an independent route
+(exact calculus, finite differences, or direct quadrature), and reports
+PASS/FAIL.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import Polynomial, polynomial as npp
 from scipy.integrate import trapezoid
 
-from .fracpoly import rl_derivative, rl_alpha_sensitivity
-from .modfun import build_family
+from .fracpoly import power_rule
+from .modfun import DataMoments, build_family
 from .synthdata import TrueModel, synthesize
 from .estimator import EstimatorConfig, linearize, measurement_moments
 
 
 def check_integer_order() -> tuple[bool, str]:
-    p = Polynomial([3.0, -2.0, 1.5, 0.25, -1.0])
-    worst = 0.0
-    for alpha, ref in ((1.0, p.deriv()), (2.0, p.deriv(2))):
-        fx = rl_derivative(p, alpha)
-        x = np.linspace(0.1, 5.0, 57)
-        scale = np.abs(ref(x)).max()
-        worst = max(worst, float(np.abs(fx(x) - ref(x)).max() / scale))
+    ms = synthesize(TrueModel(), 1351, noise_level=0.03, seed=7)
+    B, _ = measurement_moments(ms, EstimatorConfig(L1=9.0, N=4)).fractional_columns(2.0)
+    ref = np.array([trapezoid(m.deriv(2)(ms.x) * ms.c_noisy[::-1], ms.x)  # c(L1 - x)
+                    for m in build_family(4, 3, 9.0).members])
+    worst = float(np.abs(B - ref).max() / np.abs(ref).max())
     return worst <= 1e-12, f"max rel discrepancy {worst:.2e} (tol 1e-12)"
 
 
@@ -33,25 +32,25 @@ def check_lemma1_identity() -> tuple[bool, str]:
     f = Polynomial([0.0, 0.0, L1, -1.0])  # x^2 (L1 - x): both integrands bounded
     fam = build_family(3, 3, L1)
     x = np.linspace(0.0, L1, M)
-    dx = x[1] - x[0]
+    mom = DataMoments(fam, x, f(x), f(x))
     worst = 0.0
-    reflect = Polynomial([L1, -1.0])  # x -> L1 - x
     for alpha in (1.3, 1.8):
-        df = rl_derivative(f, alpha)
-        for member in fam.members:
-            left = trapezoid(member(reflect)(x) * df(x), dx=dx)
-            right = trapezoid(rl_derivative(member, alpha)(x) * f(L1 - x), dx=dx)
-            worst = max(worst, abs(left - right) / abs(right))
+        right, _ = mom.fractional_columns(alpha)  # integral of D^alpha phi_n(x) f(L1 - x)
+        g, _ = power_rule(np.arange(4.0), alpha)
+        df = np.zeros(M)
+        df[1:] = x[1:] ** -alpha * npp.polyval(x[1:], f.coef * g)  # D^alpha f, 0 at x = 0
+        left = np.array([trapezoid(m(L1 - x) * df, x) for m in fam.members])
+        worst = max(worst, float(np.max(np.abs(left - right) / np.abs(right))))
     return worst <= 1e-4, f"max rel mismatch {worst:.2e} (tol 1e-4)"
 
 
 def check_sensitivity_fd() -> tuple[bool, str]:
-    p = Polynomial.basis(4)
+    ms = synthesize(TrueModel(), 1351, noise_level=0.03, seed=7)
+    mom = measurement_moments(ms, EstimatorConfig(L1=9.0, N=4))
     alpha, h = 1.8, 1e-5
-    x = np.linspace(0.05, 1.0, 23)
-    analytic = rl_alpha_sensitivity(p, alpha)(x)
-    fd = (rl_derivative(p, alpha + h)(x) - rl_derivative(p, alpha - h)(x)) / (2 * h)
-    worst = float(np.abs(analytic - fd).max() / np.abs(analytic).max())
+    _, G = mom.fractional_columns(alpha)
+    fd = (mom.fractional_columns(alpha + h)[0] - mom.fractional_columns(alpha - h)[0]) / (2 * h)
+    worst = float(np.abs(G - fd).max() / np.abs(G).max())
     return worst <= 1e-8, f"max rel FD mismatch {worst:.2e} (tol 1e-8)"
 
 

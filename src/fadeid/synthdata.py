@@ -6,7 +6,7 @@ term is defined as the residual closure
 
     r = dc/dt + nu * dc/dx - d * D^alpha c,
 
-evaluated in closed form via the polynomial fractional-derivative algebra,
+evaluated in closed form by the power rule of :func:`fadeid.fracpoly.power_rule`,
 so the transport equation holds exactly for any parameter choice.  r is
 singular like x^(1-alpha) at the origin; the sample stored at x = 0 is 0
 by convention (the singularity is integrable and every integrand that
@@ -19,9 +19,9 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import Polynomial
+from numpy.polynomial import Polynomial, polynomial as npp
 
-from .fracpoly import rl_derivative
+from .fracpoly import power_rule
 
 
 @dataclass(frozen=True)
@@ -35,6 +35,8 @@ class TrueModel:
     T: float = 1.0
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.nu, self.d, self.L, self.T))):
+            raise ValueError(f"nu, d, L and T must be finite, got {self}")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (1, 2], got {self.alpha}")
         if self.L <= 0:
@@ -84,11 +86,12 @@ def source_term(model: TrueModel, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     p = model.spatial_factor()
     ct, st = math.cos(-model.T), math.sin(-model.T)
-    frac = rl_derivative(p, model.alpha)
+    g, _ = power_rule(np.arange(3.0), model.alpha)
     out = np.zeros_like(x)
     pos = x > 0.0
     xp = x[pos]
-    out[pos] = st * p(xp) + model.nu * ct * p.deriv()(xp) - model.d * ct * frac(xp)
+    frac = xp ** (-model.alpha) * npp.polyval(xp, p.coef * g)  # D^alpha p, term by term
+    out[pos] = st * p(xp) + model.nu * ct * p.deriv()(xp) - model.d * ct * frac
     return out
 
 

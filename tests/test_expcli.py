@@ -73,10 +73,23 @@ class TestSpecConstruction:
         {"n_list": [1]},
         {"L1_list": [-1.0]},
         {"estimator": {"b": 2.5}},
+        {"estimator": {"M": 301}, "L1_list": [20.0]},  # beyond the last node
+        {"estimator": {"M": 301}, "L1_list": [9.0, 0.04]},  # snaps to node 1
+        {"estimator": {"M": 301}, "truth": {"L": math.inf}},
+        {"estimator": {"M": 301}, "truth": {"L": math.nan}},
+        {"estimator": {"M": 301}, "truth": {"nu": math.nan}},
+        {"estimator": {"M": 301}, "truth": {"d": math.inf}},
+        {"estimator": {"M": 301}, "truth": {"T": math.nan}},
     ])
     def test_bad_grid_or_noise_rejected_at_load(self, data):
         with pytest.raises(ValueError):
             spec_from_dict(data)
+
+    def test_L1_snapping_to_last_node_loads(self):
+        # 9.01 on a spacing of 0.03 rounds to node 300, the last of 301
+        spec = spec_from_dict({**FAST, "estimator": {"M": 301}, "L1_list": [9.01]})
+        (row,) = run(spec, workers=1)
+        assert row.error == "" and row.converged
 
     def test_invalid_mode(self):
         with pytest.raises(ValueError):
@@ -389,6 +402,13 @@ class TestMain:
         assert captured.out == ""
         assert captured.err == "fadeid estimate: error: noise levels must be finite and >= 0, got -0.1\n"
 
+    def test_estimate_L1_beyond_grid_is_usage_error(self, capsys):
+        rc = main(["estimate", "--L1", "20"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == "fadeid estimate: error: L1=20.0 does not leave a usable sub-grid\n"
+
     def test_bad_sweep_spec_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, {**FAST, "estimator": {"M": 2}})
         rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "res")])
@@ -412,9 +432,18 @@ class TestMain:
         ("seeds: [-1]\nnoise_levels: [0.02]\n", "seeds"),
         ("n_list: [3, 1.5]\n", "N"),
         ("L1_list: [-1.0]\n", "L1"),
+        ("estimator: {M: 301}\nL1_list: [20.0]\n", "L1=20.0 does not leave a usable sub-grid"),
+        ("estimator: {M: 301}\nL1_list: [0.04]\n", "L1=0.04 does not leave a usable sub-grid"),
+        ("estimator: {M: 301}\ntruth: {L: .inf}\n", "must be finite"),
+        ("estimator: {M: 301}\ntruth: {L: .nan}\n", "must be finite"),
+        ("estimator: {M: 301}\ntruth: {nu: .nan}\n", "must be finite"),
+        ("estimator: {M: 301}\ntruth: {d: .inf}\n", "must be finite"),
+        ("estimator: {M: 301}\ntruth: {T: .nan}\n", "must be finite"),
     ], ids=["unknown-estimator-key", "unknown-top-level-key", "dx", "malformed", "missing",
             "top-level-list", "truth-not-mapping", "estimator-not-mapping", "seeds-not-list",
-            "fractional-seed", "negative-seed", "fractional-N", "negative-L1"])
+            "fractional-seed", "negative-seed", "fractional-N", "negative-L1",
+            "L1-beyond-grid", "L1-below-node-2", "infinite-L", "nan-L", "nan-nu", "infinite-d",
+            "nan-T"])
     def test_unusable_spec_file_is_usage_error(self, command, text, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         if text is not None:
@@ -447,3 +476,9 @@ class TestMain:
         assert rc == 0
         assert out.count("PASS") == 6
         assert "FAIL" not in out
+        for name in ("integer-order consistency", "fractional integration by parts",
+                     "order-sensitivity vs finite differences",
+                     "K-U equals least-squares residual",
+                     "analytic gradient vs finite differences",
+                     "modulating boundary conditions"):
+            assert f"PASS  {name}: " in out

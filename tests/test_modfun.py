@@ -6,7 +6,6 @@ import pytest
 from numpy.polynomial import Polynomial
 from scipy.integrate import trapezoid
 
-from fadeid.fracpoly import rl_derivative, rl_alpha_sensitivity
 from fadeid.modfun import DataMoments, build_family
 from fadeid.synthdata import TrueModel, synthesize
 
@@ -139,12 +138,12 @@ class TestDataMoments:
 
     @pytest.mark.parametrize("N,tol", [(3, 1e-8), (7, 1e-8), (11, 1e-6)])
     @pytest.mark.parametrize("alpha", [1.3, 1.8, 2.0])
-    def test_matches_direct_trapezoid(self, table1, N, tol, alpha):
+    def test_matches_direct_trapezoid(self, table1, N, tol, alpha, rl_reference):
         x, c = table1.x, table1.c_noisy
         fam = build_family(N, 3, 9.0)
         B, G = DataMoments(fam, x, c, c).fractional_columns(alpha)
-        for got, evaluator in ((B, rl_derivative), (G, rl_alpha_sensitivity)):
-            ref = np.array([trapezoid(evaluator(m, alpha)(x) * c[::-1], dx=x[1]) for m in fam.members])
+        refs = np.array([trapezoid(rl_reference(m, alpha, x) * c[::-1], dx=x[1]) for m in fam.members])
+        for got, ref in zip((B, G), refs.T):
             assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
 
     @pytest.mark.parametrize("N", [3, 7, 11, 20])
@@ -228,26 +227,26 @@ class TestFractionalIntegrationByParts:
     """Both integrands are bounded for test functions with min power >= 2."""
 
     @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
-    def test_identity_on_regular_test_function(self, alpha):
+    def test_identity_on_regular_test_function(self, alpha, rl_reference):
         L1, M = 9.0, 10001
         fam = build_family(3, 3, L1)
         f = Polynomial([0.0, 0.0, L1, -1.0])  # x^2 (L1 - x)
         x = np.linspace(0.0, L1, M)
         dx = x[1] - x[0]
-        df = rl_derivative(f, alpha)
+        df = rl_reference(f, alpha, x)[0]
         for member in fam.members:
-            left = trapezoid(member(Polynomial([L1, -1.0]))(x) * df(x), dx=dx)
-            right = trapezoid(rl_derivative(member, alpha)(x) * f(L1 - x), dx=dx)
+            left = trapezoid(member(Polynomial([L1, -1.0]))(x) * df, dx=dx)
+            right = trapezoid(rl_reference(member, alpha, x)[0] * f(L1 - x), dx=dx)
             assert abs(left - right) <= 1e-4 * abs(right)
 
-    def test_identity_other_interval_length(self):
+    def test_identity_other_interval_length(self, rl_reference):
         L1, M, alpha = 5.0, 10001, 1.7
         fam = build_family(4, 3, L1)
         f = Polynomial([0.0, 0.0, 0.0, 1.0, -0.1])
         x = np.linspace(0.0, L1, M)
         dx = x[1] - x[0]
-        df = rl_derivative(f, alpha)
+        df = rl_reference(f, alpha, x)[0]
         for member in fam.members:
-            left = trapezoid(member(Polynomial([L1, -1.0]))(x) * df(x), dx=dx)
-            right = trapezoid(rl_derivative(member, alpha)(x) * f(L1 - x), dx=dx)
+            left = trapezoid(member(Polynomial([L1, -1.0]))(x) * df, dx=dx)
+            right = trapezoid(rl_reference(member, alpha, x)[0] * f(L1 - x), dx=dx)
             assert abs(left - right) <= 1e-4 * abs(right)

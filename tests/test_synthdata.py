@@ -20,6 +20,14 @@ from fadeid.synthdata import (
 CANONICAL = TrueModel(nu=0.2, d=1.0, alpha=1.8, L=9.0, T=1.0)
 
 
+class TestTrueModel:
+    @pytest.mark.parametrize("name", ["nu", "d", "L", "T"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_parameter_rejected(self, name, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            TrueModel(**{name: value})
+
+
 class TestExactSolution:
     def test_boundaries(self):
         c, dcdt = exact_solution(CANONICAL, np.array([0.0, 9.0]))
@@ -65,15 +73,13 @@ class TestSourceTerm:
             TrueModel(nu=-0.7, d=2.5, alpha=1.3, L=4.0, T=0.3),
         ],
     )
-    def test_pde_residual_closure(self, model):
-        from fadeid.fracpoly import rl_derivative
-
+    def test_pde_residual_closure(self, model, rl_reference):
         x = np.linspace(0, model.L, 101)[1:]  # x > 0
         p = model.spatial_factor()
         ct = math.cos(-model.T)
         dcdt = math.sin(-model.T) * p(x)
         dcdx = ct * p.deriv()(x)
-        dalpha_c = ct * rl_derivative(p, model.alpha)(x)
+        dalpha_c = ct * rl_reference(p, model.alpha, x)[0]
         r = source_term(model, x)
         resid = dcdt + model.nu * dcdx - model.d * dalpha_c - r
         scale = np.abs(r).max()
