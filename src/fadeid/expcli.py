@@ -28,7 +28,6 @@ from dataclasses import dataclass, asdict, replace, field
 from itertools import product
 from numbers import Integral, Real
 from pathlib import Path
-from typing import get_type_hints
 
 import yaml
 
@@ -55,6 +54,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.truth.nu == 0:
+            raise ValueError("truth.nu must be nonzero: errors are relative to nu")
         for name in ("noise_levels", "n_list", "L1_list", "seeds"):
             if not (isinstance(getattr(self, name), list) and getattr(self, name)):
                 raise ValueError(f"sweep list '{name}' must be a non-empty list")
@@ -200,16 +201,6 @@ def write_rows(rows: list[ResultRow], path) -> None:
         w.writerow(CSV_FIELDS)
         for r in rows:
             w.writerow([_fmt(getattr(r, f)) for f in CSV_FIELDS])
-
-
-def read_rows(path) -> list[ResultRow]:
-    types = get_type_hints(ResultRow)
-    parse = {f: (lambda v: v == "True") if t is bool else t for f, t in types.items()}
-    with open(path, newline="") as fh:
-        return [
-            ResultRow(**{f: parse[f](v) for f, v in rec.items()})
-            for rec in csv.DictReader(fh)
-        ]
 
 
 def write_manifest(spec: ExperimentSpec, path) -> None:

@@ -4,11 +4,12 @@ The family on [0, L1] is phi_n(x) = x^a_n (L1-x)^e_n, a_n = N+b+1-n,
 e_n = b+n, for n = 1..N.  Every member and its first derivative vanish at
 both endpoints (with margin: a_n, e_n >= b+1 >= 3), so fractional
 derivatives of order up to 2 and their order-sensitivities are regular on
-[0, L1] and vanish at 0.  :func:`build_family` is cached per (N, b, L1);
-its arrays are read-only.
+[0, L1] and vanish at 0.  A family is defined by (N, b) alone: the interval
+enters only through the data, whose grid ends at L1.  :func:`build_family`
+is cached per (N, b); its table is read-only.
 
 :class:`DataMoments` integrates a family against samples on a uniform grid
-by the trapezoid rule (weights w_j).  With y = L1 - x, every a_n + e_n is
+from 0 to L1 = x[-1] by the trapezoid rule (weights w_j).  With y = L1 - x, every a_n + e_n is
 D = N+2b+1, so all columns are sums over one basis shared by the members,
 X_p = x^p y^(D-p) for p = b..D.  No member is expanded in monomials, whose
 alternating sums cancel more as N grows; each coefficient below has at
@@ -51,17 +52,16 @@ from functools import lru_cache
 from math import comb, perm
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .fracpoly import power_rule
 
 
 @dataclass(frozen=True)
 class ModulatingFamily:
+    """The N members' exponents and table T; L1 comes from the data's grid."""
+
     n_funcs: int
     b: int
-    L1: float
-    members: tuple[Polynomial, ...]
     #: factored powers (a_n, e_n) with phi_n = x^a_n (L1-x)^e_n
     powers: tuple[tuple[int, int], ...]
     #: T[n, p-b-1, i] of the module docstring, for p = b+1..D, i = 0..N+b
@@ -73,34 +73,26 @@ class ModulatingFamily:
 
 
 @lru_cache(maxsize=16)
-def build_family(N: int, b: int, L1: float) -> ModulatingFamily:
-    """Construct the N-member polynomial modulating family on [0, L1].
+def build_family(N: int, b: int) -> ModulatingFamily:
+    """Construct the N-member polynomial modulating family.
 
-    Cached: callers with the same (N, b, L1) get the same family, so its
-    coefficient arrays and table are read-only.
+    Cached: callers with the same (N, b) get the same family, so its table
+    is read-only.
     """
     if N < 2:
         raise ValueError(f"need at least 2 modulating functions, got N={N}")
     if b < 2:
         raise ValueError(f"order offset b must be >= 2, got b={b}")
-    if L1 <= 0:
-        raise ValueError(f"interval length must be positive, got L1={L1}")
-    L1 = float(L1)
-    right = Polynomial([L1, -1.0])
-    members = []
     powers = []
     T = np.zeros((N, N + b + 1, N + b + 1))
     for n in range(1, N + 1):
         a, e = N + b + 1 - n, b + n
-        member = Polynomial.basis(a) * right**e
-        member.coef.flags.writeable = False
-        members.append(member)
         powers.append((a, e))
         for r, c in enumerate((a * (a - 1), -2 * a * e, e * (e - 1))):
             for i in range(e - r + 1):  # exact integers, rounded once
                 T[n - 1, a + r + i - b - 1, i] = c * comb(e - r, i) / perm(a + r + i, i + 2)
     T.flags.writeable = False
-    return ModulatingFamily(N, b, L1, tuple(members), tuple(powers), T)
+    return ModulatingFamily(N, b, tuple(powers), T)
 
 
 class DataMoments:
@@ -112,11 +104,9 @@ class DataMoments:
         M = len(x)
         if M < 3:
             raise ValueError(f"grid needs at least 3 points, got M={M}")
-        if x[0] != 0.0 or abs(x[-1] - fam.L1) > 1e-12 * fam.L1:
-            raise ValueError(
-                f"measurement grid [{x[0]}, {x[-1]}] does not match the family's [0, {fam.L1}]"
-            )
-        dx = x[1] - x[0]
+        if x[0] != 0.0:
+            raise ValueError(f"measurement grid must start at 0, got x[0]={x[0]}")
+        L1, dx = x[-1], x[1] - x[0]
         if np.abs(np.diff(x) - dx).max() > 1e-9 * dx:
             raise ValueError("measurement grid is not uniformly spaced")
         c, rhs = np.asarray(c, dtype=float), np.asarray(rhs, dtype=float)
@@ -130,13 +120,13 @@ class DataMoments:
         b, D = fam.b, fam.degree
         X = np.empty((D - b + 1, M - 1))  # X[p - b, j] = x_j^p (L1 - x_j)^(D-p)
         np.power(self.xp, D, out=X[-1])
-        ratio = (fam.L1 - self.xp) / self.xp
+        ratio = (L1 - self.xp) / self.xp
         for i in range(D - b, 0, -1):
             np.multiply(X[i], ratio, out=X[i - 1])
         s_c, s_r = np.einsum("pj,rj->rp", X, W)
         a, e = np.array(fam.powers).T
         row = a - b
-        self.A = (-a * s_c[row - 1] + (e - a) * s_c[row] + e * s_c[row + 1]) / fam.L1
+        self.A = (-a * s_c[row - 1] + (e - a) * s_c[row] + e * s_c[row + 1]) / L1
         self.C = s_r[row]
 
         X *= W[0]

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from fadeid.modfun import DataMoments, build_family
 from fadeid.synthdata import TrueModel, synthesize
 from fadeid.estimator import (
     EstimatorConfig,
@@ -117,14 +116,6 @@ class TestAssembleTheorem1:
         for got, ref in zip(m2.fractional_columns(1.8), m1.fractional_columns(1.8)):
             np.testing.assert_allclose(got, 2 * ref, rtol=1e-14)
         assert linearize(m2, 1.8)[:2] == pytest.approx(linearize(m1, 1.8)[:2], rel=1e-12)
-
-    def test_grid_mismatch_rejected(self):
-        # the family lives on [0, 9]; the samples on [0, 5] do not span it
-        ms = synthesize(CANONICAL, 1351)
-        n = 751  # x[750] = 5
-        rhs = ms.dcdt_noisy[:n] - ms.r[:n]
-        with pytest.raises(ValueError):
-            DataMoments(build_family(3, 3, 9.0), ms.x[:n], ms.c_noisy[:n], rhs)
 
     def test_row_permutation_leaves_solution_unchanged(self, clean_13501, cfg3):
         lin, mom = fit(clean_13501, cfg3, 1.8)
@@ -313,6 +304,11 @@ class TestNewtonEstimate:
         with pytest.raises(ValueError, match="uniform"):
             estimate_two_param(replace(ms, x=x), EstimatorConfig(L1=9.0, N=3, b=3), 1.8)
 
+    def test_grid_off_origin_rejected(self):
+        ms = synthesize(TABLE1, 4501, noise_level=0.02, seed=0)
+        with pytest.raises(ValueError, match="must start at 0"):
+            estimate_two_param(replace(ms, x=ms.x + 1.0), EstimatorConfig(L1=9.0, N=3, b=3), 1.8)
+
     @pytest.mark.parametrize("scale", [0.7, 1.3])
     def test_uneven_first_spacing_rejected(self, scale):
         ms = synthesize(TABLE1, 4501, noise_level=0.02, seed=0)
@@ -341,6 +337,23 @@ class TestNewtonEstimate:
         assert len(res.iterations) <= 10
         assert abs(res.nu - 0.5) / 0.5 <= 1e-6
 
+    @pytest.fixture(scope="class")
+    def table1_noisy(self):
+        return synthesize(TABLE1, 31501, noise_level=0.02, seed=0)
+
+    @pytest.mark.parametrize("N", [3, 7, 11])
+    @pytest.mark.parametrize("s", [1e-3, 1e-2, 1e3])
+    def test_length_unit_invariance(self, table1_noisy, N, s):
+        # x -> s x keeps every sample and scales the rows' unknowns to
+        # (nu s, d s^alpha); alpha and the Newton steps are unit-free
+        ref = newton_estimate(table1_noisy, EstimatorConfig(L1=9.0, N=N))
+        scaled = replace(table1_noisy, x=s * table1_noisy.x)
+        res = newton_estimate(scaled, EstimatorConfig(L1=9.0 * s, N=N))
+        assert res.converged
+        assert abs(res.alpha - ref.alpha) <= 1e-10
+        assert res.nu / s == pytest.approx(ref.nu, rel=1e-9)
+        assert res.d / s**res.alpha == pytest.approx(ref.d, rel=1e-9)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize(
@@ -356,6 +369,8 @@ class TestConfigValidation:
             {"N": 3.0},
             {"b": 1},
             {"b": "3"},
+            {"max_iter": 2.5},
+            {"max_iter": "3"},
         ],
     )
     def test_invalid_config(self, kwargs):

@@ -1,6 +1,8 @@
+import csv
 import math
 from itertools import product
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 import yaml
@@ -16,7 +18,6 @@ from fadeid.expcli import (
     load_spec,
     run,
     write_rows,
-    read_rows,
     write_manifest,
     emit_plotdata,
     main,
@@ -38,6 +39,16 @@ def write_cfg(tmp_path, data, name="cfg.yaml"):
     p = tmp_path / name
     p.write_text(yaml.safe_dump(data))
     return p
+
+
+def read_rows(path) -> list[ResultRow]:
+    types = get_type_hints(ResultRow)
+    parse = {f: (lambda v: v == "True") if t is bool else t for f, t in types.items()}
+    with open(path, newline="") as fh:
+        return [
+            ResultRow(**{f: parse[f](v) for f, v in rec.items()})
+            for rec in csv.DictReader(fh)
+        ]
 
 
 class TestSpecConstruction:
@@ -80,6 +91,7 @@ class TestSpecConstruction:
         {"estimator": {"M": 301}, "truth": {"nu": math.nan}},
         {"estimator": {"M": 301}, "truth": {"d": math.inf}},
         {"estimator": {"M": 301}, "truth": {"T": math.nan}},
+        {"estimator": {"M": 301}, "truth": {"nu": 0.0}},
     ])
     def test_bad_grid_or_noise_rejected_at_load(self, data):
         with pytest.raises(ValueError):
@@ -439,11 +451,13 @@ class TestMain:
         ("estimator: {M: 301}\ntruth: {nu: .nan}\n", "must be finite"),
         ("estimator: {M: 301}\ntruth: {d: .inf}\n", "must be finite"),
         ("estimator: {M: 301}\ntruth: {T: .nan}\n", "must be finite"),
+        ("estimator: {M: 301}\ntruth: {nu: 0.0}\n", "relative to nu"),
+        ("estimator: {M: 301, max_iter: 2.5}\n", "max_iter"),
     ], ids=["unknown-estimator-key", "unknown-top-level-key", "dx", "malformed", "missing",
             "top-level-list", "truth-not-mapping", "estimator-not-mapping", "seeds-not-list",
             "fractional-seed", "negative-seed", "fractional-N", "negative-L1",
             "L1-beyond-grid", "L1-below-node-2", "infinite-L", "nan-L", "nan-nu", "infinite-d",
-            "nan-T"])
+            "nan-T", "zero-nu", "fractional-max-iter"])
     def test_unusable_spec_file_is_usage_error(self, command, text, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         if text is not None:
