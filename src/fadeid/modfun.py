@@ -9,11 +9,11 @@ enters only through the data, whose grid ends at L1.  :func:`build_family`
 is cached per (N, b); its table is read-only.
 
 :class:`DataMoments` integrates a family against samples on a uniform grid
-from 0 to L1 = x[-1] by the trapezoid rule (weights w_j).  With y = L1 - x, every a_n + e_n is
-D = N+2b+1, so all columns are sums over one basis shared by the members,
-X_p = x^p y^(D-p) for p = b..D.  No member is expanded in monomials, whose
-alternating sums cancel more as N grows; each coefficient below has at
-most three terms.  Lifting -phi_n' to degree D by (x + y)/L1 = 1 gives
+from 0 to L1 = x[-1] by the trapezoid rule (weights w_j).  With y = L1 - x,
+every a_n + e_n is D = N+2b+1, so all columns are sums over one basis shared
+by the members, X_p = x^p y^(D-p) for p = b..D.  No member is expanded in
+monomials, whose alternating sums cancel more as N grows; each coefficient
+below has at most three terms.  Lifting -phi_n' to degree D by (x + y)/L1 = 1 gives
 
     A_n = integral of -phi_n'(x) c(L1-x) dx = (-a s_c[a-1] + (e-a) s_c[a] + e s_c[a+1]) / L1,
     C_n = integral of phi_n(x) rhs(L1-x) dx = s_r[a],

@@ -3,7 +3,7 @@
 Runs ``python3 perfbench/run.py --workload W --seed S --seconds T`` as a
 subprocess per run and keeps the last line of its standard output, the JSON
 summary (``correct``, ``attempted``, ``failed``, ``metrics``).  Given a
-second checkout with ``--parent``, each pair of runs uses one seed on both
+second checkout with ``--parent``, pair i of runs uses seed i on both
 trees, and the tree that runs first alternates from pair to pair, so slow
 drift of a shared machine falls on both sides alike.
 
@@ -84,7 +84,6 @@ def main(argv=None) -> int:
     p.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]])
     p.add_argument("--pairs", type=int, default=3, help="runs per workload and tree")
     p.add_argument("--seconds", type=int, default=bench["run_seconds"])
-    p.add_argument("--seed", type=int, default=0, help="seed of the first pair; then +1 per pair")
     args = p.parse_args(argv)
 
     trees = {"tree": Path(args.tree).resolve()}
@@ -110,9 +109,8 @@ def main(argv=None) -> int:
         for i in range(args.pairs):
             order = list(trees) if i % 2 == 0 else list(reversed(trees))
             for name in order:
-                seed = args.seed + i
-                record = {"workload": workload, "tree": name, "pair": i, "seed": seed,
-                          **run_once(trees[name], workload, seed, args.seconds)}
+                record = {"workload": workload, "tree": name, "pair": i, "seed": i,
+                          **run_once(trees[name], workload, i, args.seconds)}
                 runs.append(record)
                 result = record["result"] or {}
                 print(f"{workload} pair {i} {name}: rc={record['returncode']} "
