@@ -107,6 +107,8 @@ class DataMoments:
         if x[0] != 0.0:
             raise ValueError(f"measurement grid must start at 0, got x[0]={x[0]}")
         L1, dx = x[-1], x[1] - x[0]
+        if not dx > 0:
+            raise ValueError("measurement grid must increase from 0")
         if np.abs(np.diff(x) - dx).max() > 1e-9 * dx:
             raise ValueError("measurement grid is not uniformly spaced")
         c, rhs = np.asarray(c, dtype=float), np.asarray(rhs, dtype=float)

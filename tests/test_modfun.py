@@ -168,6 +168,11 @@ class TestDataMoments:
         for got, ref in ((mom.A, A_ref), (mom.C, C_ref)):
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
+    @pytest.mark.parametrize("x", [np.zeros(3), np.linspace(0.0, -9.0, 11)], ids=["zero-span", "decreasing"])
+    def test_grid_must_increase(self, x):
+        with pytest.raises(ValueError, match="must increase from 0"):
+            DataMoments(build_family(3, 3), x, np.ones_like(x), np.ones_like(x))
+
 
 def mp_moments(x, c, alpha, kmax):
     """m_k = sum_j w_j x_j^(k-alpha) c(L1-x_j) and l_k, the same with a

@@ -1,14 +1,15 @@
 """Record benchmark runs, with the machine they ran on, in one JSON file.
 
-Runs ``python3 perfbench/run.py --workload W --seed S --seconds T`` as a
-subprocess per run and keeps the last line of its standard output, the JSON
-summary (``correct``, ``attempted``, ``failed``, ``metrics``).  Given a
-second checkout with ``--parent``, pair i of runs uses seed i on both
-trees, and the tree that runs first alternates from pair to pair, so slow
-drift of a shared machine falls on both sides alike.
+Runs every workload of BENCHMARK.json PAIRS times, each run
+``python3 perfbench/run.py --workload W --seed S --seconds T`` with T the
+benchmark's ``run_seconds``, as a subprocess, and keeps the last line of its
+standard output, the JSON summary (``correct``, ``attempted``, ``failed``,
+``metrics``).  Given a second checkout with ``--parent``, pair i of runs uses
+seed i on both trees, and the tree that runs first alternates from pair to
+pair, so slow drift of a shared machine falls on both sides alike.
 
     python3 tools/bench_record.py --out BENCH.json
-    python3 tools/bench_record.py --out BENCH.json --parent ../parent --pairs 3
+    python3 tools/bench_record.py --out BENCH.json --parent ../parent
 
 The file holds every run, the median, minimum and maximum of each metric per
 workload and tree, nproc, the Python/numpy/scipy versions and each tree's
@@ -31,6 +32,7 @@ import numpy
 import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def revision(tree: Path) -> str:
@@ -81,17 +83,15 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True, help="JSON file to write")
     p.add_argument("--tree", default=str(ROOT), help="checkout measured (default: this one)")
     p.add_argument("--parent", help="second checkout, run alternately with --tree")
-    p.add_argument("--workloads", nargs="+", default=[w["name"] for w in bench["workloads"]])
-    p.add_argument("--pairs", type=int, default=3, help="runs per workload and tree")
-    p.add_argument("--seconds", type=int, default=bench["run_seconds"])
     args = p.parse_args(argv)
+    seconds = bench["run_seconds"]
 
     trees = {"tree": Path(args.tree).resolve()}
     if args.parent:
         trees["parent"] = Path(args.parent).resolve()
     data = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T",
-        "seconds": args.seconds,
+        "seconds": seconds,
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
             "cpu_count": os.cpu_count(),
@@ -105,12 +105,12 @@ def main(argv=None) -> int:
         "runs": [],
     }
     runs = data["runs"]
-    for workload in args.workloads:
-        for i in range(args.pairs):
+    for workload in (w["name"] for w in bench["workloads"]):
+        for i in range(PAIRS):
             order = list(trees) if i % 2 == 0 else list(reversed(trees))
             for name in order:
                 record = {"workload": workload, "tree": name, "pair": i, "seed": i,
-                          **run_once(trees[name], workload, i, args.seconds)}
+                          **run_once(trees[name], workload, i, seconds)}
                 runs.append(record)
                 result = record["result"] or {}
                 print(f"{workload} pair {i} {name}: rc={record['returncode']} "
