@@ -31,7 +31,7 @@ number of [A B].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from numbers import Integral
 from typing import NamedTuple
 
@@ -99,16 +99,15 @@ class EstimatorConfig:
             raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 
-@dataclass
-class EstimateResult:
+class EstimateResult(NamedTuple):
     nu: float
     d: float
     alpha: float
-    iterations: list[IterationRecord] = field(default_factory=list)
-    converged: bool = False
-    residual_final: float = np.inf
-    cond_estimate: float = np.nan
-    message: str = ""
+    iterations: list[IterationRecord]
+    converged: bool
+    residual_final: float
+    cond_estimate: float
+    message: str
 
 
 def snap_node(L1: float, span: float, M: int) -> int:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import Polynomial, polynomial as npp
+from numpy.polynomial import Polynomial
 
 from .fracpoly import power_rule
 
@@ -77,21 +77,22 @@ class MeasurementSet:
 def exact_solution(model: TrueModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form (c, dc/dt) at time model.T on the given grid."""
     x = np.asarray(x, dtype=float)
-    p = model.spatial_factor()(x)
+    p = x * (model.L - x)
     return math.cos(-model.T) * p, math.sin(-model.T) * p
 
 
 def source_term(model: TrueModel, x: np.ndarray) -> np.ndarray:
     """Residual-closure source r = dc/dt + nu dc/dx - d D^alpha c; r(0) = 0."""
     x = np.asarray(x, dtype=float)
-    p = model.spatial_factor()
+    L = model.L
     ct, st = math.cos(-model.T), math.sin(-model.T)
     g, _ = power_rule(np.arange(3.0), model.alpha)
     out = np.zeros_like(x)
     pos = x > 0.0
     xp = x[pos]
-    frac = xp ** (-model.alpha) * npp.polyval(xp, p.coef * g)  # D^alpha p, term by term
-    out[pos] = st * p(xp) + model.nu * ct * p.deriv()(xp) - model.d * ct * frac
+    # D^alpha [L x - x^2] = (L g_1 - g_2 x) x^(1-alpha), term by term
+    frac = xp ** (-model.alpha) * ((L * g[1] - g[2] * xp) * xp)
+    out[pos] = st * (xp * (L - xp)) + model.nu * ct * (L - 2.0 * xp) - model.d * ct * frac
     return out
 
 

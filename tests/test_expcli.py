@@ -210,6 +210,13 @@ class TestRun:
         serial = run(spec, workers=1)
         parallel = run(spec, workers=4)
         assert serial == parallel  # dataclass equality, bit-exact floats
+        # three-param at the Table-1 grid, where the moment products are large
+        # enough for OpenBLAS to thread: pooled rows are still the same floats
+        spec = spec_from_dict({**FAST, "estimator": {"M": 31501, "alpha0": 1.4}, "seeds": [0, 1],
+                               "noise_levels": [0.0, 0.02], "n_list": [3, 7]})
+        serial = run(spec, workers=1)
+        assert all(r.converged and not r.error for r in serial)
+        assert serial == run(spec, workers=4)
 
     def test_pool_capped_at_cell_count(self, monkeypatch):
         asked, tasks = [], []
