@@ -40,7 +40,7 @@ one (P x M) by (M x 2) contraction.  The x = 0 sample, where every term
 vanishes, is left out.
 
 Each grid contraction is one BLAS product: at M = 31500, N = 3 (2 CPUs,
-OpenBLAS 0.3.31) 0.07 ms against einsum's 0.23-0.28 ms, 3-10x closer to a
+OpenBLAS 0.3.31) 0.07 ms against einsum's 0.23-0.28 ms, 3-15x closer to a
 long-double sum, and faster in a sweep's 2-process pool too.  x^D and
 x^-alpha are exp(p ln x) of the stored ln x, 3x cheaper than np.power.
 """
