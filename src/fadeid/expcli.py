@@ -12,7 +12,7 @@ Configuration is a YAML file with nested sections mirroring
 
 A sweep's data set depends only on (truth, grid, noise level, seed), so the
 N x L1 cells of one (noise level, seed) pair fit the same samples.  The data
-set is the unit of work: each task synthesizes one data set and runs some of
+set is the unit of work: each task synthesizes one data set and runs all of
 its cells on it.
 """
 
@@ -36,6 +36,9 @@ from .estimator import EstimatorConfig, estimate_two_param, newton_estimate, sna
 from .synthdata import MeasurementSet, TrueModel, synthesize
 
 MODES = ("two-param", "three-param")
+#: cells x grid points per pool worker: a pool costs about one Table-1 data
+#: set's fits (5 cells at M = 31501, 25-35 ms on 2 CPUs), a worker needs two
+_POOL_CELL_POINTS = 2 * 5 * 31501
 
 
 @dataclass
@@ -165,7 +168,10 @@ def _run_data_set(task) -> list[ResultRow]:
 def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
     """Run every (noise, N, L1, seed) cell; failures are recorded, not raised.
 
-    Rows come back in ``noise x N x L1 x seed`` product order (``cell_index``).
+    Each (noise, seed) data set is one task, synthesized once.  A pool runs
+    them when it gets at least 2 workers: at most ``workers`` (default: the
+    CPUs this process may run on), one per task and one per
+    ``_POOL_CELL_POINTS``.  Rows come back in product order (``cell_index``).
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -173,19 +179,14 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
     cells = list(product(spec.noise_levels, spec.n_list, spec.L1_list, spec.seeds))
     for idx, (noise, n, L1, seed) in enumerate(cells):
         groups.setdefault((noise, seed), []).append((idx, n, L1))
-    if workers is None:
-        workers = 1 if len(cells) < 4 else len(os.sched_getaffinity(0))
-    # a pool gets each data set's cells in ceil(2 * workers / data sets)
-    # interleaved tasks, so a sweep of few data sets keeps every worker busy
-    k = math.ceil(2 * workers / len(groups)) if workers > 1 else 1
-    tasks = [(spec, key, group[i::k]) for key, group in groups.items()
-             for i in range(min(k, len(group)))]
-    workers = min(workers, len(tasks))
+    tasks = [(spec, key, group) for key, group in groups.items()]
+    cap = min(len(tasks), len(cells) * spec.grid_points // _POOL_CELL_POINTS)
+    workers = min(workers or len(os.sched_getaffinity(0)), cap) if cap > 1 else 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_data_set, tasks))
     else:
-        parts = [_run_data_set(t) for t in tasks]
+        parts = map(_run_data_set, tasks)
     return sorted((r for part in parts for r in part), key=lambda r: r.cell_index)
 
 
@@ -272,7 +273,7 @@ def _estimate_spec(args) -> ExperimentSpec:
 
 
 def _cmd_estimate(args, spec: ExperimentSpec) -> int:
-    (row,) = run(spec, workers=1)
+    (row,) = run(spec)
     if row.error:
         print(f"estimation failed: {row.error}", file=sys.stderr)
         return 1
@@ -365,8 +366,8 @@ def main(argv=None) -> int:
     p_sw.add_argument("--out", help="output directory (overrides spec)")
     p_sw.add_argument("--seed", type=int, default=0, help="offset added to every spec seed")
     p_sw.add_argument("--workers", type=_worker_count, default=None,
-                      help="parallel worker cap (default: the CPUs this process may run on, "
-                      "or serial for tiny sweeps)")
+                      help="parallel worker cap (default: the CPUs this process may run on); "
+                      "the pool also has at most one worker per two data sets")
     p_sw.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
     p_sw.set_defaults(func=_cmd_sweep, spec=_sweep_spec)
 

@@ -118,12 +118,12 @@ class DataMoments:
         # w_j c(L1 - x_j) and w_j rhs(L1 - x_j) for j >= 1
         W = dx * np.stack([c[-2::-1], rhs[-2::-1]])
         W[:, -1] *= 0.5
-        self.xp = x[1:]
-        self.log_x = np.log(self.xp)
+        xp = x[1:]
+        self.log_x = np.log(xp)
         b, D = fam.b, fam.degree
         X = np.empty((D - b + 1, M - 1))  # X[p - b, j] = x_j^p (L1 - x_j)^(D-p)
         np.exp(D * self.log_x, out=X[-1])
-        ratio = (L1 - self.xp) / self.xp
+        ratio = (L1 - xp) / xp
         for i in range(D - b, 0, -1):
             np.multiply(X[i], ratio, out=X[i - 1])
         s_c, s_r = W @ X.T

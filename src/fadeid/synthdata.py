@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .fracpoly import power_rule
 
@@ -43,10 +42,6 @@ class TrueModel:
             raise ValueError(f"domain length must be positive, got L={self.L}")
         if self.d <= 0:
             raise ValueError(f"dispersion coefficient must be positive, got d={self.d}")
-
-    def spatial_factor(self) -> Polynomial:
-        """The x(L-x) factor of the closed-form solution."""
-        return Polynomial([0.0, self.L, -1.0])
 
 
 @dataclass(frozen=True)

@@ -219,9 +219,9 @@ class TestMeasurementMoments:
     def test_restrict_snaps_to_node(self):
         ms = synthesize(CANONICAL, 91)  # dx = 0.1
         mom = measurement_moments(ms, EstimatorConfig(L1=4.96, N=3))
-        # the integrated nodes, x = 0 left out
-        assert mom.xp[-1] == pytest.approx(5.0)
-        assert len(mom.xp) + 1 == 51
+        # ln of the integrated nodes, x = 0 left out
+        assert np.exp(mom.log_x[-1]) == pytest.approx(5.0)
+        assert len(mom.log_x) + 1 == 51
 
     def test_restrict_out_of_range(self):
         ms = synthesize(CANONICAL, 91)

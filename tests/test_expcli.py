@@ -203,7 +203,17 @@ class TestRun:
         assert exc.value.code == 2
         assert not (tmp_path / "res").exists()
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
+        asked = []
+        pool = expcli.ProcessPoolExecutor
+
+        def recording_pool(max_workers):
+            asked.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        # a real pool of one worker per data set, however little work a cell is
+        monkeypatch.setattr(expcli, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(expcli, "_POOL_CELL_POINTS", 1)
         spec = spec_from_dict(
             {**FAST, "mode": "two-param", "seeds": [0, 1], "noise_levels": [0.0, 0.02]}
         )
@@ -217,9 +227,10 @@ class TestRun:
         serial = run(spec, workers=1)
         assert all(r.converged and not r.error for r in serial)
         assert serial == run(spec, workers=4)
+        assert asked == [4, 4]
 
-    def test_pool_capped_at_cell_count(self, monkeypatch):
-        asked, tasks = [], []
+    def test_pool_sized_by_cell_points(self, monkeypatch):
+        asked, tasks, synthesized = [], [], []
 
         class SerialPool:
             def __init__(self, max_workers):
@@ -236,18 +247,38 @@ class TestRun:
                 return map(fn, items)
 
         monkeypatch.setattr(expcli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(expcli, "synthesize", lambda *a: synthesized.append(a[2:]))
         monkeypatch.setattr(expcli, "_run_cell",
                             lambda spec, ms, idx, *cell: ResultRow(idx, *cell))
-        # five one-cell data sets: one task each, and no more workers than tasks
-        rows = run(spec_from_dict({**FAST, "seeds": [0, 1, 2, 3, 4]}), workers=64)
-        assert asked == [5] and [len(t) for t in tasks[0]] == [1] * 5
-        assert [r.cell_index for r in rows] == [0, 1, 2, 3, 4]
-        # one five-cell data set on two workers: split into four interleaved tasks
-        spec = spec_from_dict({**FAST, "n_list": [3, 4, 5, 6, 7]})
-        rows = run(spec, workers=2)
-        assert asked[1] == 2
-        assert [[idx for idx, _, _ in t] for t in tasks[1]] == [[0, 4], [1], [2], [3]]
-        assert [r.n_funcs for r in rows] == [3, 4, 5, 6, 7]
+
+        def sweep(M, n_sets, n_list=(3, 5, 7, 9, 11), L1_list=(9.0,), workers=64):
+            asked.clear()
+            synthesized.clear()
+            lists = {"noise_levels": [0.02], "n_list": list(n_list), "L1_list": list(L1_list),
+                     "seeds": list(range(n_sets))}
+            rows = run(spec_from_dict({**FAST, "estimator": {"M": M}, **lists}), workers)
+            assert synthesized == [(0.02, seed) for seed in range(n_sets)]  # once per data set
+            assert [(r.noise_level, r.n_funcs, r.L1, r.seed) for r in rows] == list(
+                product(*lists.values())
+            )
+            assert [r.cell_index for r in rows] == list(range(len(rows)))
+            return asked[:]
+
+        # Table-1 data sets (5 cells at M = 31501): one worker per two of them
+        for n_sets, pool in [(1, []), (3, []), (4, [2]), (5, [2]), (8, [4])]:
+            assert sweep(31501, n_sets) == pool
+        # the table1-sweep shape on 2 workers: 8 tasks of 5 cells
+        assert sweep(31501, 8, workers=2) == [2]
+        assert [len(t) for t in tasks[-1]] == [5] * 8
+        assert sweep(31501, 8, workers=1) == []
+        # the work counts, not the data sets: no pool for 8 data sets of a
+        # smaller grid or of one cell each, two workers for 2 data sets of 30
+        assert sweep(4501, 8) == []
+        assert sweep(31501, 8, n_list=[3]) == []
+        assert sweep(31501, 2, n_list=range(3, 22, 2), L1_list=[9.0, 7.0, 5.0]) == [2]
+        # a sweep too small for a pool does not ask how many CPUs there are
+        monkeypatch.delattr(expcli.os, "sched_getaffinity")
+        assert sweep(31501, 1, workers=None) == []
 
     def test_failure_recorded_not_raised(self, monkeypatch):
         def boom(*a, **k):

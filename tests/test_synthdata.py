@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 from scipy.special import rgamma
 
 from fadeid.synthdata import (
@@ -75,7 +76,7 @@ class TestSourceTerm:
     )
     def test_pde_residual_closure(self, model, rl_reference):
         x = np.linspace(0, model.L, 101)[1:]  # x > 0
-        p = model.spatial_factor()
+        p = Polynomial([0.0, model.L, -1.0])  # the x(L-x) factor of c
         ct = math.cos(-model.T)
         dcdt = math.sin(-model.T) * p(x)
         dcdx = ct * p.deriv()(x)

@@ -14,6 +14,12 @@ pair, so slow drift of a shared machine falls on both sides alike.
 The file holds every run, the median, minimum and maximum of each metric per
 workload and tree, nproc, the Python/numpy/scipy versions and each tree's
 git revision.  Nothing here imports fadeid.
+
+Each run also records the host's CPU steal over the run (``steal_ticks``,
+from the aggregate ``cpu`` line of /proc/stat, in ``clk_tck`` units) and the
+run's own user + system CPU time (``child_cpu_s``, a getrusage(RUSAGE_CHILDREN)
+delta); the summary holds their medians next to the metrics'.  Steal marks
+a noisy host; CPU time that moves with the tree marks a noisy change.
 """
 
 from __future__ import annotations
@@ -22,6 +28,7 @@ import argparse
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -44,12 +51,30 @@ def revision(tree: Path) -> str:
     return (rev or "unknown") + ("+dirty" if dirty else "")
 
 
+def steal_ticks() -> int | None:
+    """The host's CPU steal so far, summed over its CPUs; None where unknown."""
+    try:
+        with open("/proc/stat") as fh:
+            fields = fh.readline().split()
+        return int(fields[8])  # cpu user nice system idle iowait irq softirq steal
+    except (OSError, IndexError, ValueError):
+        return None
+
+
+def child_cpu_s() -> float:
+    usage = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return usage.ru_utime + usage.ru_stime
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
-    t0 = time.perf_counter()
+    steal0, cpu0, t0 = steal_ticks(), child_cpu_s(), time.perf_counter()
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    record = {"returncode": proc.returncode, "wall_s": round(time.perf_counter() - t0, 3)}
+    wall, steal1, cpu1 = time.perf_counter() - t0, steal_ticks(), child_cpu_s()
+    record = {"returncode": proc.returncode, "wall_s": round(wall, 3),
+              "steal_ticks": None if None in (steal0, steal1) else steal1 - steal0,
+              "child_cpu_s": round(cpu1 - cpu0, 3)}
     lines = proc.stdout.strip().splitlines()
     try:
         record["result"] = json.loads(lines[-1])
@@ -61,7 +86,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
 
 def summarize(runs: list[dict]) -> dict:
     """{workload: {tree: {metric: {median, min, max, n}}}} over the runs that
-    printed a result."""
+    printed a result; ``steal_ticks`` and ``child_cpu_s`` are summarized too."""
     values: dict = {}
     for r in runs:
         if r["result"] is None:
@@ -69,6 +94,9 @@ def summarize(runs: list[dict]) -> dict:
         per_metric = values.setdefault(r["workload"], {}).setdefault(r["tree"], {})
         for name, m in r["result"]["metrics"].items():
             per_metric.setdefault(name, []).append(m["value"])
+        for name in ("steal_ticks", "child_cpu_s"):
+            if r[name] is not None:
+                per_metric.setdefault(name, []).append(r[name])
     return {
         w: {t: {m: {"median": statistics.median(v), "min": min(v), "max": max(v), "n": len(v)}
                 for m, v in metrics.items()}
@@ -94,6 +122,7 @@ def main(argv=None) -> int:
         "seconds": seconds,
         "machine": {
             "nproc": len(os.sched_getaffinity(0)),
+            "clk_tck": os.sysconf("SC_CLK_TCK"),
             "cpu_count": os.cpu_count(),
             "platform": platform.platform(),
             "python": platform.python_version(),
@@ -114,7 +143,8 @@ def main(argv=None) -> int:
                 runs.append(record)
                 result = record["result"] or {}
                 print(f"{workload} pair {i} {name}: rc={record['returncode']} "
-                      f"correct={result.get('correct')} failed={result.get('failed')}",
+                      f"correct={result.get('correct')} failed={result.get('failed')} "
+                      f"steal={record['steal_ticks']} cpu={record['child_cpu_s']}s",
                       file=sys.stderr, flush=True)
                 # rewritten after every run, so an interrupted recording keeps its runs
                 data["summary"] = summarize(runs)
