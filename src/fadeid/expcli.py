@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     p_sw.add_argument("--seed", type=int, default=0, help="offset added to every spec seed")
     p_sw.add_argument("--workers", type=_worker_count, default=None,
                       help="parallel worker cap (default: the CPUs this process may run on); "
-                      "the pool also has at most one worker per two data sets")
+                      "at most one per data set and per 315010 cells x grid points")
     p_sw.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
     p_sw.set_defaults(func=_cmd_sweep, spec=_sweep_spec)
 
