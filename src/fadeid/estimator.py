@@ -121,9 +121,16 @@ def snap_node(L1: float, span: float, M: int) -> int:
 
 def measurement_moments(ms: MeasurementSet, config: EstimatorConfig) -> DataMoments:
     """The moments of config's family on [0, L1], L1 snapped to the nearest
-    node, against the measured channels (x, c_noisy, dcdt_noisy, r) alone."""
+    node, against the measured channels (x, c_noisy, dcdt_noisy, r) alone.
+
+    The node is found from the whole grid's mean spacing, and DataMoments
+    checks uniformity only on [0, x_j]: so x_j must also lie within half a
+    mean spacing of where a uniform grid puts node j."""
     x = ms.x
-    j = snap_node(config.L1, float(x[-1] - x[0]), len(x))
+    span = float(x[-1] - x[0])
+    j = snap_node(config.L1, span, len(x))
+    if abs((x[j] - x[0]) * (len(x) - 1) / span - j) > 0.5:
+        raise ValueError("measurement grid is not uniformly spaced")
     fam = build_family(config.N, config.b)
     n = j + 1
     return DataMoments(fam, x[:n], ms.c_noisy[:n], ms.dcdt_noisy[:n] - ms.r[:n])

@@ -170,7 +170,7 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
 
     Each (noise, seed) data set is one task, synthesized once.  A pool runs
     them when it gets at least 2 workers: at most ``workers`` (default: the
-    CPUs this process may run on), one per task and one per
+    CPUs this process may run on, else all CPUs), one per task and one per
     ``_POOL_CELL_POINTS``.  Rows come back in product order (``cell_index``).
     """
     if workers is not None and workers < 1:
@@ -181,7 +181,10 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
         groups.setdefault((noise, seed), []).append((idx, n, L1))
     tasks = [(spec, key, group) for key, group in groups.items()]
     cap = min(len(tasks), len(cells) * spec.grid_points // _POOL_CELL_POINTS)
-    workers = min(workers or len(os.sched_getaffinity(0)), cap) if cap > 1 else 1
+    if cap > 1 and workers is None:  # macOS and Windows lack sched_getaffinity
+        affinity = getattr(os, "sched_getaffinity", None)
+        workers = len(affinity(0)) if affinity else os.cpu_count() or 1
+    workers = min(workers, cap) if cap > 1 else 1
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_run_data_set, tasks))
@@ -196,12 +199,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def write_rows(rows: list[ResultRow], path) -> None:
+def _write_csv(path, header, records) -> None:
+    """The one CSV writer: the header, then each record's cells through _fmt."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow(CSV_FIELDS)
-        for r in rows:
-            w.writerow([_fmt(getattr(r, f)) for f in CSV_FIELDS])
+        w.writerow(header)
+        w.writerows([_fmt(v) for v in record] for record in records)
+
+
+def write_rows(rows: list[ResultRow], path) -> None:
+    _write_csv(path, CSV_FIELDS, ([getattr(r, f) for f in CSV_FIELDS] for r in rows))
 
 
 def write_manifest(spec: ExperimentSpec, path) -> None:
@@ -221,34 +228,22 @@ def emit_plotdata(rows: list[ResultRow], outdir) -> list[Path]:
     outdir.mkdir(parents=True, exist_ok=True)
     ok = [r for r in rows if not r.error]
 
+    def errors_vs(x):  # all three error series against the field x
+        return [(getattr(r, x), series, getattr(r, series))
+                for r in ok for series in ("err_nu", "err_d", "err_alpha")]
+
+    def by_count(err):  # one error against N, one series per noise level
+        return [(r.n_funcs, f"noise={r.noise_level:g}", getattr(r, err)) for r in ok]
+
     files = {
-        "fig_interval_length.csv": [
-            (r.L1, series, getattr(r, series))
-            for r in ok
-            for series in ("err_nu", "err_d", "err_alpha")
-        ],
-        "fig_noise_levels.csv": [
-            (r.noise_level, series, getattr(r, series))
-            for r in ok
-            for series in ("err_nu", "err_d", "err_alpha")
-        ],
-        "fig_modfun_count_err_d.csv": [
-            (r.n_funcs, f"noise={r.noise_level:g}", r.err_d) for r in ok
-        ],
-        "fig_modfun_count_err_nu.csv": [
-            (r.n_funcs, f"noise={r.noise_level:g}", r.err_nu) for r in ok
-        ],
+        "fig_interval_length.csv": errors_vs("L1"),
+        "fig_noise_levels.csv": errors_vs("noise_level"),
+        "fig_modfun_count_err_d.csv": by_count("err_d"),
+        "fig_modfun_count_err_nu.csv": by_count("err_nu"),
     }
-    written = []
     for name, records in files.items():
-        path = outdir / name
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["x", "series", "value"])
-            for x, series, value in records:
-                w.writerow([_fmt(x), series, _fmt(value)])
-        written.append(path)
-    return written
+        _write_csv(outdir / name, ["x", "series", "value"], records)
+    return [outdir / name for name in files]
 
 
 def _estimate_spec(args) -> ExperimentSpec:
@@ -256,20 +251,12 @@ def _estimate_spec(args) -> ExperimentSpec:
         spec = load_spec(args.config)
     else:
         spec = ExperimentSpec()
-    overrides = {}
-    if args.n is not None:
-        overrides["n_list"] = [args.n]
-    if args.L1 is not None:
-        overrides["L1_list"] = [args.L1]
-    if args.noise is not None:
-        overrides["noise_levels"] = [args.noise]
-    if args.seed is not None:
-        overrides["seeds"] = [args.seed]
-    if args.mode is not None:
-        overrides["mode"] = args.mode
-    first = {name: getattr(spec, name)[:1]
-             for name in ("noise_levels", "n_list", "L1_list", "seeds")}
-    return replace(spec, **{**first, **overrides})
+    # one cell: each swept list becomes [its flag], else its first entry
+    flags = {"noise_levels": args.noise, "n_list": args.n, "L1_list": args.L1,
+             "seeds": args.seed}
+    cell = {name: getattr(spec, name)[:1] if flag is None else [flag]
+            for name, flag in flags.items()}
+    return replace(spec, mode=args.mode or spec.mode, **cell)
 
 
 def _cmd_estimate(args, spec: ExperimentSpec) -> int:
@@ -328,7 +315,7 @@ def _worker_count(text: str) -> int:
 def _cmd_selftest(args, spec: None) -> int:
     from .selftest import run_selftest
 
-    return 0 if run_selftest(quiet=args.quiet) else 1
+    return 0 if run_selftest() else 1
 
 
 def main(argv=None) -> int:
@@ -367,7 +354,7 @@ def main(argv=None) -> int:
     p_sw.add_argument("--seed", type=int, default=0, help="offset added to every spec seed")
     p_sw.add_argument("--workers", type=_worker_count, default=None,
                       help="parallel worker cap (default: the CPUs this process may run on); "
-                      "at most one per data set and per 315010 cells x grid points")
+                      f"at most one per data set and per {_POOL_CELL_POINTS} cells x grid points")
     p_sw.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
     p_sw.set_defaults(func=_cmd_sweep, spec=_sweep_spec)
 
@@ -378,7 +365,6 @@ def main(argv=None) -> int:
         "identity, integer-order consistency, gradient oracles, boundary "
         "conditions) and print one PASS/FAIL line each.",
     )
-    p_st.add_argument("--quiet", action="store_true", help="only report failures")
     p_st.set_defaults(func=_cmd_selftest, spec=None)
 
     args = parser.parse_args(argv)

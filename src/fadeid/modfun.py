@@ -39,10 +39,8 @@ block V[p, j] = w_j c(L1-x_j) X_p(x_j) is stored once, so each alpha costs
 one (P x M) by (M x 2) contraction.  The x = 0 sample, where every term
 vanishes, is left out.
 
-Each grid contraction is one BLAS product: at M = 31500, N = 3 (2 CPUs,
-OpenBLAS 0.3.31) 0.07 ms against einsum's 0.23-0.28 ms, 3-15x closer to a
-long-double sum, and faster in a sweep's 2-process pool too.  x^D and
-x^-alpha are exp(p ln x) of the stored ln x, 3x cheaper than np.power.
+Each grid contraction is one BLAS matrix product, 0.07 ms at M = 31500,
+N = 3 (2 CPUs, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations

@@ -98,11 +98,10 @@ CHECKS = [
 ]
 
 
-def run_selftest(quiet: bool = False) -> bool:
+def run_selftest() -> bool:
     all_ok = True
     for name, fn in CHECKS:
         ok, detail = fn()
         all_ok &= ok
-        if not ok or not quiet:
-            print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
     return all_ok

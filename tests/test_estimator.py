@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from fadeid.synthdata import TrueModel, synthesize
+from fadeid.synthdata import MeasurementSet, TrueModel, exact_solution, source_term, synthesize
 from fadeid.estimator import (
     EstimatorConfig,
     RankDeficientError,
@@ -227,6 +227,18 @@ class TestMeasurementMoments:
         ms = synthesize(CANONICAL, 91)
         with pytest.raises(ValueError):
             measurement_moments(ms, EstimatorConfig(L1=11.0, N=3))
+
+    def test_coarse_tail_beyond_L1_rejected(self):
+        # uniform on [0, 5], then 8 points on [5.5, 9]: the whole grid's mean
+        # spacing would snap L1 = 5 to x = 2.782, a node of the uniform part
+        x = np.concatenate([np.linspace(0.0, 5.0, 5001), np.linspace(5.5, 9.0, 8)])
+        c, dcdt = exact_solution(TABLE1, x)
+        ms = MeasurementSet(x, c, dcdt, source_term(TABLE1, x), c, dcdt)
+        cfg = EstimatorConfig(L1=5.0, N=3)
+        with pytest.raises(ValueError, match="not uniformly spaced"):
+            estimate_two_param(ms, cfg, 1.8)
+        with pytest.raises(ValueError, match="not uniformly spaced"):
+            newton_estimate(ms, cfg)
 
     def test_estimates_read_only_measured_channels(self):
         # the clean channels are synthetic truth: replacing them changes nothing

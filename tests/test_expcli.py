@@ -1,5 +1,6 @@
 import csv
 import math
+import os
 from itertools import product
 from pathlib import Path
 from typing import get_type_hints
@@ -279,6 +280,10 @@ class TestRun:
         # a sweep too small for a pool does not ask how many CPUs there are
         monkeypatch.delattr(expcli.os, "sched_getaffinity")
         assert sweep(31501, 1, workers=None) == []
+        # without an affinity call (macOS, Windows) the default is os.cpu_count()
+        for cpus in (3, 64):
+            monkeypatch.setattr(expcli.os, "cpu_count", lambda: cpus)
+            assert sweep(31501, 8, workers=None) == [min(os.cpu_count(), 4)]
 
     def test_failure_recorded_not_raised(self, monkeypatch):
         def boom(*a, **k):
@@ -326,6 +331,44 @@ class TestRowsCsv:
         write_rows(run(spec, workers=1), a)
         write_rows(run(spec, workers=1), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+class TestWrittenBytes:
+    """The exact bytes of results.csv and the figure tables: CRLF line ends,
+    17 significant digits, nan, True/False, quoting and the noise labels."""
+
+    ROWS = [
+        ResultRow(0, 0.02, 3, 9.0, 5, est_nu=0.1 + 0.2, est_d=1 / 3, est_alpha=1.8,
+                  err_nu=0.4 / 3, err_d=2 / 3 - 0.5, err_alpha=0.1,
+                  err_combined=math.sqrt(2) / 10, iterations=4, converged=True),
+        ResultRow(1, 0.0, 5, 5.0, 6, error="RankDeficientError: system numerically "
+                  "rank-deficient (singular values 1.000e+00, 1.000e-13)"),
+    ]
+
+    def test_results_csv(self, tmp_path):
+        write_rows(self.ROWS, tmp_path / "results.csv")
+        assert (tmp_path / "results.csv").read_bytes() == (
+            b"cell_index,noise_level,n_funcs,L1,seed,est_nu,est_d,est_alpha,err_nu,err_d,"
+            b"err_alpha,err_combined,iterations,converged,error\r\n"
+            b"0,0.02,3,9,5,0.30000000000000004,0.33333333333333331,1.8,0.13333333333333333,"
+            b"0.16666666666666663,0.10000000000000001,0.1414213562373095,4,True,\r\n"
+            b"1,0,5,5,6,nan,nan,nan,nan,nan,nan,nan,0,False,\"RankDeficientError: system "
+            b"numerically rank-deficient (singular values 1.000e+00, 1.000e-13)\"\r\n"
+        )
+
+    def test_plotdata(self, tmp_path):
+        errors = (b"err_nu,0.13333333333333333\r\n", b"err_d,0.16666666666666663\r\n",
+                  b"err_alpha,0.10000000000000001\r\n")
+        expected = {  # the failed cell is skipped
+            "fig_interval_length.csv": b"".join(b"9," + e for e in errors),
+            "fig_noise_levels.csv": b"".join(b"0.02," + e for e in errors),
+            "fig_modfun_count_err_d.csv": b"3,noise=0.02,0.16666666666666663\r\n",
+            "fig_modfun_count_err_nu.csv": b"3,noise=0.02,0.13333333333333333\r\n",
+        }
+        written = emit_plotdata(self.ROWS, tmp_path)
+        assert {p.name: p.read_bytes() for p in written} == {
+            name: b"x,series,value\r\n" + body for name, body in expected.items()
+        }
 
 
 class TestManifestAndPlotdata:
