@@ -128,6 +128,8 @@ def measurement_moments(ms: MeasurementSet, config: EstimatorConfig) -> DataMome
     mean spacing of where a uniform grid puts node j."""
     x = ms.x
     span = float(x[-1] - x[0])
+    if not span > 0:  # snap_node needs a positive mean spacing
+        raise ValueError("measurement grid must increase from 0")
     j = snap_node(config.L1, span, len(x))
     if abs((x[j] - x[0]) * (len(x) - 1) / span - j) > 0.5:
         raise ValueError("measurement grid is not uniformly spaced")

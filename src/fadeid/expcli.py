@@ -13,7 +13,8 @@ Configuration is a YAML file with nested sections mirroring
 A sweep's data set depends only on (truth, grid, noise level, seed), so the
 N x L1 cells of one (noise level, seed) pair fit the same samples.  The data
 set is the unit of work: each task synthesizes one data set and runs all of
-its cells on it.
+its cells on it.  The calling process is one of a sweep's workers; a pool
+forks the others.
 """
 
 from __future__ import annotations
@@ -36,8 +37,9 @@ from .estimator import EstimatorConfig, estimate_two_param, newton_estimate, sna
 from .synthdata import MeasurementSet, TrueModel, synthesize
 
 MODES = ("two-param", "three-param")
-#: cells x grid points per pool worker: a pool costs about one Table-1 data
-#: set's fits (5 cells at M = 31501, 25-35 ms on 2 CPUs), a worker needs two
+#: cells x grid points per worker: on 2 CPUs, 2/3/4/8 Table-1 data sets
+#: (5 cells at M = 31501) took 41/64/92/140 ms serially, 45/67/85/118 ms on
+#: the calling process and one pool process
 _POOL_CELL_POINTS = 2 * 5 * 31501
 
 
@@ -168,10 +170,13 @@ def _run_data_set(task) -> list[ResultRow]:
 def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
     """Run every (noise, N, L1, seed) cell; failures are recorded, not raised.
 
-    Each (noise, seed) data set is one task, synthesized once.  A pool runs
-    them when it gets at least 2 workers: at most ``workers`` (default: the
-    CPUs this process may run on, else all CPUs), one per task and one per
-    ``_POOL_CELL_POINTS``.  Rows come back in product order (``cell_index``).
+    Each (noise, seed) data set is one task, synthesized once.  Tasks run
+    serially unless at least 2 workers are allowed: at most ``workers``
+    (default: the CPUs this process may run on, else all CPUs), one per task
+    and one per ``_POOL_CELL_POINTS``.  The calling process is one of them: it
+    runs the last task, then from the back each task that none of the
+    ``workers - 1`` pool processes has started.  Rows come back in product
+    order (``cell_index``).
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -185,9 +190,18 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
         affinity = getattr(os, "sched_getaffinity", None)
         workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(workers, cap) if cap > 1 else 1
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(_run_data_set, tasks))
+    if workers > 1:  # workers - 1 children; this process works from the back
+        *pooled, own = tasks
+        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
+            futures = [pool.submit(_run_data_set, task) for task in pooled]
+            try:  # own, then each task no child has started yet
+                parts = [_run_data_set(own)]
+                parts += [_run_data_set(task) for future, task in zip(futures[::-1], pooled[::-1])
+                          if future.cancel()]
+                parts += [f.result() for f in futures if not f.cancelled()]
+            except BaseException:  # an interrupt does not wait for the tasks left
+                pool.shutdown(cancel_futures=True)
+                raise
     else:
         parts = map(_run_data_set, tasks)
     return sorted((r for part in parts for r in part), key=lambda r: r.cell_index)
@@ -353,8 +367,9 @@ def main(argv=None) -> int:
     p_sw.add_argument("--out", help="output directory (overrides spec)")
     p_sw.add_argument("--seed", type=int, default=0, help="offset added to every spec seed")
     p_sw.add_argument("--workers", type=_worker_count, default=None,
-                      help="parallel worker cap (default: the CPUs this process may run on); "
-                      f"at most one per data set and per {_POOL_CELL_POINTS} cells x grid points")
+                      help="cap on the processes that fit cells, this one included (default: "
+                      "the CPUs this process may run on); at most one per data set and per "
+                      f"{_POOL_CELL_POINTS} cells x grid points")
     p_sw.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
     p_sw.set_defaults(func=_cmd_sweep, spec=_sweep_spec)
 

@@ -240,6 +240,14 @@ class TestMeasurementMoments:
         with pytest.raises(ValueError, match="not uniformly spaced"):
             newton_estimate(ms, cfg)
 
+    @pytest.mark.parametrize("grid", [np.zeros, lambda M: np.linspace(9.0, 0.0, M)],
+                             ids=["all-zero", "reversed"])
+    def test_grid_not_increasing_rejected(self, grid):
+        ms = synthesize(TABLE1, 101)
+        ms = replace(ms, x=grid(101))
+        with pytest.raises(ValueError, match="must increase from 0"):
+            estimate_two_param(ms, EstimatorConfig(L1=5.0, N=3), 1.8)
+
     def test_estimates_read_only_measured_channels(self):
         # the clean channels are synthetic truth: replacing them changes nothing
         ms = synthesize(TABLE1, 4501, noise_level=0.02, seed=0)

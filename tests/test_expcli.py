@@ -1,6 +1,9 @@
 import csv
 import math
+import multiprocessing
 import os
+import time
+from concurrent.futures import Future
 from itertools import product
 from pathlib import Path
 from typing import get_type_hints
@@ -22,6 +25,7 @@ from fadeid.expcli import (
     write_manifest,
     emit_plotdata,
     main,
+    _run_data_set,
 )
 
 # small grid + easy noise so CLI-level tests stay fast
@@ -40,6 +44,28 @@ def write_cfg(tmp_path, data, name="cfg.yaml"):
     p = tmp_path / name
     p.write_text(yaml.safe_dump(data))
     return p
+
+
+#: the data sets _run_data_set_here ran in this process
+_RAN_HERE = []
+
+
+def _run_data_set_here(task):
+    # module level, so that a pool can pickle it by name
+    _RAN_HERE.append(task[1])
+    return _run_data_set(task)
+
+
+#: the directory in which _interrupted_here's children mark each task they start
+_CHILD_MARKS = None
+
+
+def _interrupted_here(task):
+    if multiprocessing.parent_process() is None:  # the calling process
+        raise KeyboardInterrupt
+    (_CHILD_MARKS / str(task[1][1])).touch()
+    time.sleep(0.05)
+    return _run_data_set(task)
 
 
 def read_rows(path) -> list[ResultRow]:
@@ -219,23 +245,49 @@ class TestRun:
             {**FAST, "mode": "two-param", "seeds": [0, 1], "noise_levels": [0.0, 0.02]}
         )
         serial = run(spec, workers=1)
-        parallel = run(spec, workers=4)
-        assert serial == parallel  # dataclass equality, bit-exact floats
+        for workers in (2, 4):
+            assert serial == run(spec, workers)  # dataclass equality, bit-exact floats
         # three-param at the Table-1 grid, where the moment products are large
         # enough for OpenBLAS to thread: pooled rows are still the same floats
         spec = spec_from_dict({**FAST, "estimator": {"M": 31501, "alpha0": 1.4}, "seeds": [0, 1],
                                "noise_levels": [0.0, 0.02], "n_list": [3, 7]})
         serial = run(spec, workers=1)
         assert all(r.converged and not r.error for r in serial)
-        assert serial == run(spec, workers=4)
-        assert asked == [4, 4]
+        for workers in (2, 4):
+            assert serial == run(spec, workers)
+        # the calling process is one of the workers: the pool forks the rest
+        assert asked == [1, 3, 1, 3]
+
+    def test_calling_process_works_and_reaps_its_pool(self, monkeypatch):
+        monkeypatch.setattr(expcli, "_run_data_set", _run_data_set_here)
+        monkeypatch.setattr(expcli, "_POOL_CELL_POINTS", 1)
+        spec = spec_from_dict({**FAST, "mode": "two-param", "seeds": [0, 1, 2, 3]})
+        serial = run(spec, workers=1)
+        for workers in (2, 4):
+            _RAN_HERE.clear()
+            assert run(spec, workers) == serial
+            # the last data set first; the children append to their own copies
+            assert _RAN_HERE[0] == (0.0, 3)
+            assert multiprocessing.active_children() == []
+
+    def test_interrupt_cancels_tasks_not_started(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(expcli, "_run_data_set", _interrupted_here)
+        monkeypatch.setattr(expcli, "_POOL_CELL_POINTS", 1)
+        monkeypatch.setitem(globals(), "_CHILD_MARKS", tmp_path)  # read after the fork
+        spec = spec_from_dict({**FAST, "mode": "two-param", "seeds": list(range(8))})
+        with pytest.raises(KeyboardInterrupt):
+            run(spec, workers=2)
+        # the child ran what it had taken, not all 7 tasks submitted to it
+        assert len(list(tmp_path.iterdir())) < 7
+        assert multiprocessing.active_children() == []
 
     def test_pool_sized_by_cell_points(self, monkeypatch):
-        asked, tasks, synthesized = [], [], []
+        asked, submitted, synthesized = [], [], []
 
-        class SerialPool:
+        class SerialPool:  # starts no process: each task runs when submitted
             def __init__(self, max_workers):
                 asked.append(max_workers)
+                submitted.clear()
 
             def __enter__(self):
                 return self
@@ -243,9 +295,11 @@ class TestRun:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items):
-                tasks.append([cells for _, _, cells in items])
-                return map(fn, items)
+            def submit(self, fn, task):
+                submitted.append(task[2])
+                future = Future()
+                future.set_result(fn(task))
+                return future
 
         monkeypatch.setattr(expcli, "ProcessPoolExecutor", SerialPool)
         monkeypatch.setattr(expcli, "synthesize", lambda *a: synthesized.append(a[2:]))
@@ -265,25 +319,28 @@ class TestRun:
             assert [r.cell_index for r in rows] == list(range(len(rows)))
             return asked[:]
 
-        # Table-1 data sets (5 cells at M = 31501): one worker per two of them
-        for n_sets, pool in [(1, []), (3, []), (4, [2]), (5, [2]), (8, [4])]:
+        # Table-1 data sets (5 cells at M = 31501): one worker per two of them,
+        # the calling process and a pool of the rest
+        for n_sets, pool in [(1, []), (3, []), (4, [1]), (5, [1]), (8, [3])]:
             assert sweep(31501, n_sets) == pool
-        # the table1-sweep shape on 2 workers: 8 tasks of 5 cells
-        assert sweep(31501, 8, workers=2) == [2]
-        assert [len(t) for t in tasks[-1]] == [5] * 8
+        # the table1-sweep shape on 2 workers: 8 tasks of 5 cells, the last
+        # one run by the calling process
+        assert sweep(31501, 8, workers=2) == [1]
+        assert [len(cells) for cells in submitted] == [5] * 7
+        assert submitted[0][0][0] == 0 and submitted[-1][0][0] == 6
         assert sweep(31501, 8, workers=1) == []
         # the work counts, not the data sets: no pool for 8 data sets of a
         # smaller grid or of one cell each, two workers for 2 data sets of 30
         assert sweep(4501, 8) == []
         assert sweep(31501, 8, n_list=[3]) == []
-        assert sweep(31501, 2, n_list=range(3, 22, 2), L1_list=[9.0, 7.0, 5.0]) == [2]
+        assert sweep(31501, 2, n_list=range(3, 22, 2), L1_list=[9.0, 7.0, 5.0]) == [1]
         # a sweep too small for a pool does not ask how many CPUs there are
         monkeypatch.delattr(expcli.os, "sched_getaffinity")
         assert sweep(31501, 1, workers=None) == []
         # without an affinity call (macOS, Windows) the default is os.cpu_count()
         for cpus in (3, 64):
             monkeypatch.setattr(expcli.os, "cpu_count", lambda: cpus)
-            assert sweep(31501, 8, workers=None) == [min(os.cpu_count(), 4)]
+            assert sweep(31501, 8, workers=None) == [min(os.cpu_count(), 4) - 1]
 
     def test_failure_recorded_not_raised(self, monkeypatch):
         def boom(*a, **k):

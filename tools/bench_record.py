@@ -11,9 +11,13 @@ pair, so slow drift of a shared machine falls on both sides alike.
     python3 tools/bench_record.py --out BENCH.json
     python3 tools/bench_record.py --out BENCH.json --parent ../parent
 
-The file holds every run, the median, minimum and maximum of each metric per
-workload and tree, nproc, the Python/numpy/scipy versions and each tree's
-git revision.  Nothing here imports fadeid.
+The file holds every run, the median, quartiles, minimum and maximum of
+each metric per workload and tree, nproc, the Python/numpy/scipy versions
+and each tree's git revision.  Nothing here imports fadeid.  With
+``--parent`` it also holds, per workload and metric of BENCHMARK.json, the
+pairs in which the tree beat the parent by the metric's ``better``
+direction, and whether that is a gain: at least 9 in 10 pairs won, and the
+medians apart by more than the parent's interquartile range, the right way.
 
 Each run also records the host's CPU steal over the run (``steal_ticks``,
 from the aggregate ``cpu`` line of /proc/stat, in ``clk_tck`` units) and the
@@ -84,9 +88,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     return record
 
 
+def stats(v: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(v, n=4) if len(v) > 1 else v * 3
+    return {"median": statistics.median(v), "q1": q1, "q3": q3,
+            "min": min(v), "max": max(v), "n": len(v)}
+
+
 def summarize(runs: list[dict]) -> dict:
-    """{workload: {tree: {metric: {median, min, max, n}}}} over the runs that
-    printed a result; ``steal_ticks`` and ``child_cpu_s`` are summarized too."""
+    """{workload: {tree: {metric: {median, q1, q3, min, max, n}}}} over the
+    runs that printed a result; ``steal_ticks`` and ``child_cpu_s`` are
+    summarized too."""
     values: dict = {}
     for r in runs:
         if r["result"] is None:
@@ -98,11 +109,34 @@ def summarize(runs: list[dict]) -> dict:
             if r[name] is not None:
                 per_metric.setdefault(name, []).append(r[name])
     return {
-        w: {t: {m: {"median": statistics.median(v), "min": min(v), "max": max(v), "n": len(v)}
-                for m, v in metrics.items()}
-            for t, metrics in trees.items()}
+        w: {t: {m: stats(v) for m, v in metrics.items()} for t, metrics in trees.items()}
         for w, trees in values.items()
     }
+
+
+def paired_wins(runs: list[dict], summary: dict, better: dict[str, str]) -> dict:
+    """{workload: {metric: {wins, pairs, gain}}}: the pairs whose tree run beat
+    the parent's by ``better[metric]`` ("higher" or "lower"); ``gain`` holds
+    when wins >= 0.9 * pairs and the medians differ, the better way, by more
+    than the parent's interquartile range."""
+    sign = {name: 1 if way == "higher" else -1 for name, way in better.items()}
+    pairs: dict = {}
+    for r in runs:
+        for name, m in (r["result"] or {}).get("metrics", {}).items():
+            if name in sign:
+                by_pair = pairs.setdefault((r["workload"], name), {})
+                by_pair.setdefault(r["pair"], {})[r["tree"]] = m["value"]
+    wins: dict = {}
+    for (w, name), by_pair in pairs.items():
+        won = [sign[name] * (v["tree"] - v["parent"]) > 0 for v in by_pair.values() if len(v) == 2]
+        if not won:
+            continue
+        tree, parent = summary[w]["tree"][name], summary[w]["parent"][name]
+        gap = sign[name] * (tree["median"] - parent["median"])
+        wins.setdefault(w, {})[name] = {
+            "wins": sum(won), "pairs": len(won),
+            "gain": sum(won) >= 0.9 * len(won) and gap > parent["q3"] - parent["q1"]}
+    return wins
 
 
 def main(argv=None) -> int:
@@ -113,6 +147,7 @@ def main(argv=None) -> int:
     p.add_argument("--parent", help="second checkout, run alternately with --tree")
     args = p.parse_args(argv)
     seconds = bench["run_seconds"]
+    better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
 
     trees = {"tree": Path(args.tree).resolve()}
     if args.parent:
@@ -148,6 +183,8 @@ def main(argv=None) -> int:
                       file=sys.stderr, flush=True)
                 # rewritten after every run, so an interrupted recording keeps its runs
                 data["summary"] = summarize(runs)
+                if args.parent:
+                    data["wins"] = paired_wins(runs, data["summary"], better)
                 Path(args.out).write_text(json.dumps(data, indent=1) + "\n")
     return 0 if all(r["result"] is not None for r in runs) else 1
 
