@@ -22,11 +22,11 @@ at the fitted (nu, d).
 Only B and G depend on alpha.  The measurements are reduced once per
 estimate to a :class:`~fadeid.modfun.DataMoments` (A, C and the alpha-free
 moment block) by :func:`measurement_moments`, which reads only the measured
-channels on [0, L1].  :func:`linearize` is the one Stage-1 routine: at a given
-alpha it forms (B, G) with one small matrix product and takes one SVD of
-[A B], which solves both the Stage-1 system and the derivative system of
-Proposition 1 (same matrix, right-hand side -d*G) and gives the condition
-number of [A B].
+channels on [0, L1]; the MeasurementSet checked the grid when it was built.
+:func:`linearize` is the one Stage-1 routine: at a given alpha it forms
+(B, G) with one small matrix product and takes one SVD of [A B], which
+solves both the Stage-1 system and the derivative system of Proposition 1
+(same matrix, right-hand side -d*G) and gives the condition number of [A B].
 """
 
 from __future__ import annotations
@@ -110,32 +110,10 @@ class EstimateResult(NamedTuple):
     message: str
 
 
-def snap_node(L1: float, span: float, M: int) -> int:
-    """The index j of the node nearest L1 on M uniform points spanning
-    [0, span]; [0, x_j] must hold at least 3 points, so 2 <= j < M."""
-    j = int(round(L1 / (span / (M - 1))))
-    if j < 2 or j >= M:
-        raise ValueError(f"L1={L1} does not leave a usable sub-grid")
-    return j
-
-
 def measurement_moments(ms: MeasurementSet, config: EstimatorConfig) -> DataMoments:
-    """The moments of config's family on [0, L1], L1 snapped to the nearest
-    node, against the measured channels (x, c_noisy, dcdt_noisy, r) alone.
-
-    The node is found from the whole grid's mean spacing, and DataMoments
-    checks uniformity only on [0, x_j]: so x_j must also lie within half a
-    mean spacing of where a uniform grid puts node j."""
-    x = ms.x
-    span = float(x[-1] - x[0])
-    if not span > 0:  # snap_node needs a positive mean spacing
-        raise ValueError("measurement grid must increase from 0")
-    j = snap_node(config.L1, span, len(x))
-    if abs((x[j] - x[0]) * (len(x) - 1) / span - j) > 0.5:
-        raise ValueError("measurement grid is not uniformly spaced")
-    fam = build_family(config.N, config.b)
-    n = j + 1
-    return DataMoments(fam, x[:n], ms.c_noisy[:n], ms.dcdt_noisy[:n] - ms.r[:n])
+    """The moments of config's family against the measured channels on
+    [0, L1], L1 snapped to the nearest node."""
+    return DataMoments(build_family(config.N, config.b), ms, config.L1)
 
 
 def linearize(mom: DataMoments, alpha: float) -> Linearization:

@@ -33,7 +33,8 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .estimator import EstimatorConfig, estimate_two_param, newton_estimate, snap_node
+from .estimator import EstimatorConfig, estimate_two_param, newton_estimate
+from .modfun import snap_node
 from .synthdata import MeasurementSet, TrueModel, synthesize
 
 MODES = ("two-param", "three-param")
@@ -76,7 +77,7 @@ class ExperimentSpec:
             self.grid_points = int(round(self.truth.L * 1500)) + 1
         if not (isinstance(self.grid_points, Integral) and self.grid_points >= 3):
             raise ValueError(f"grid_points must be an integer >= 3, got {self.grid_points!r}")
-        for L1 in self.L1_list:  # the node measurement_moments will snap L1 to
+        for L1 in self.L1_list:  # the node DataMoments will snap L1 to
             snap_node(L1, float(self.truth.L), self.grid_points)
 
 

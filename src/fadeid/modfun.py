@@ -8,12 +8,12 @@ derivatives of order up to 2 and their order-sensitivities are regular on
 enters only through the data, whose grid ends at L1.  :func:`build_family`
 is cached per (N, b); its table is read-only.
 
-:class:`DataMoments` integrates a family against samples on a uniform grid
-from 0 to L1 = x[-1] by the trapezoid rule (weights w_j).  With y = L1 - x,
-every a_n + e_n is D = N+2b+1, so all columns are sums over one basis shared
-by the members, X_p = x^p y^(D-p) for p = b..D.  No member is expanded in
-monomials, whose alternating sums cancel more as N grows; each coefficient
-below has at most three terms.  Lifting -phi_n' to degree D by (x + y)/L1 = 1 gives
+:class:`DataMoments` integrates a family against a MeasurementSet, whose
+grid is uniform from 0, on [0, L1] (L1 snapped to a node) by the trapezoid
+rule (weights w_j).  With y = L1 - x, every a_n + e_n is D = N+2b+1, so all
+columns are sums over one basis shared by the members, X_p = x^p y^(D-p)
+for p = b..D.  No member is expanded in monomials, whose alternating sums
+cancel more as N grows; each coefficient below has at most three terms.  Lifting -phi_n' to degree D by (x + y)/L1 = 1 gives
 
     A_n = integral of -phi_n'(x) c(L1-x) dx = (-a s_c[a-1] + (e-a) s_c[a] + e s_c[a+1]) / L1,
     C_n = integral of phi_n(x) rhs(L1-x) dx = s_r[a],
@@ -52,6 +52,7 @@ from math import comb, perm
 import numpy as np
 
 from .fracpoly import power_rule
+from .synthdata import MeasurementSet
 
 
 @dataclass(frozen=True)
@@ -93,25 +94,23 @@ def build_family(N: int, b: int) -> ModulatingFamily:
     return ModulatingFamily(N, b, tuple(powers), T)
 
 
-class DataMoments:
-    """The family integrated against samples c, rhs on a uniform grid x from
-    0 to L1: the columns A and C, and B(alpha), G(alpha) on demand."""
+def snap_node(L1: float, span: float, M: int) -> int:
+    """The index j of the node nearest L1 on M uniform points spanning
+    [0, span]; [0, x_j] must hold at least 3 points, so 2 <= j < M."""
+    j = int(round(L1 / (span / (M - 1))))
+    if j < 2 or j >= M:
+        raise ValueError(f"L1={L1} does not leave a usable sub-grid")
+    return j
 
-    def __init__(self, fam: ModulatingFamily, x: np.ndarray, c: np.ndarray, rhs: np.ndarray):
-        x = np.asarray(x, dtype=float)
-        M = len(x)
-        if M < 3:
-            raise ValueError(f"grid needs at least 3 points, got M={M}")
-        if x[0] != 0.0:
-            raise ValueError(f"measurement grid must start at 0, got x[0]={x[0]}")
+
+class DataMoments:
+    """The family integrated against c = c_noisy and rhs = dcdt_noisy - r on
+    [0, L1], L1 snapped to a node: A and C, and B(alpha), G(alpha) on demand."""
+
+    def __init__(self, fam: ModulatingFamily, ms: MeasurementSet, L1: float):
+        M = snap_node(L1, ms.x[-1], len(ms.x)) + 1
+        x, c, rhs = ms.x[:M], ms.c_noisy[:M], ms.dcdt_noisy[:M] - ms.r[:M]
         L1, dx = x[-1], x[1] - x[0]
-        if not dx > 0:
-            raise ValueError("measurement grid must increase from 0")
-        if np.abs(np.diff(x) - dx).max() > 1e-9 * dx:
-            raise ValueError("measurement grid is not uniformly spaced")
-        c, rhs = np.asarray(c, dtype=float), np.asarray(rhs, dtype=float)
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(rhs))):
-            raise ValueError("non-finite measurement samples")
 
         # w_j c(L1 - x_j) and w_j rhs(L1 - x_j) for j >= 1
         W = dx * np.stack([c[-2::-1], rhs[-2::-1]])

@@ -14,7 +14,7 @@ from scipy.integrate import trapezoid
 
 from .fracpoly import power_rule
 from .modfun import DataMoments, ModulatingFamily, build_family
-from .synthdata import TrueModel, synthesize
+from .synthdata import MeasurementSet, TrueModel, synthesize
 from .estimator import EstimatorConfig, linearize, measurement_moments
 
 
@@ -23,11 +23,17 @@ def members(fam: ModulatingFamily, L1: float) -> list[Polynomial]:
     return [Polynomial.basis(a) * Polynomial([L1, -1.0]) ** e for a, e in fam.powers]
 
 
+def sampled(x: np.ndarray, c: np.ndarray, rhs: np.ndarray) -> MeasurementSet:
+    """Samples c and rhs = dc/dt - r (with r = 0) on the grid x."""
+    return MeasurementSet(x, c, rhs, np.zeros_like(x), c, rhs)
+
+
 def check_integer_order() -> tuple[bool, str]:
     ms = synthesize(TrueModel(), 1351, noise_level=0.03, seed=7)
-    B, _ = measurement_moments(ms, EstimatorConfig(L1=9.0, N=4)).fractional_columns(2.0)
+    cfg = EstimatorConfig(L1=9.0, N=4)
+    B, _ = measurement_moments(ms, cfg).fractional_columns(2.0)
     ref = np.array([trapezoid(m.deriv(2)(ms.x) * ms.c_noisy[::-1], ms.x)  # c(L1 - x)
-                    for m in members(build_family(4, 3), 9.0)])
+                    for m in members(build_family(cfg.N, cfg.b), cfg.L1)])
     worst = float(np.abs(B - ref).max() / np.abs(ref).max())
     return worst <= 1e-12, f"max rel discrepancy {worst:.2e} (tol 1e-12)"
 
@@ -37,7 +43,7 @@ def check_lemma1_identity() -> tuple[bool, str]:
     f = Polynomial([0.0, 0.0, L1, -1.0])  # x^2 (L1 - x): both integrands bounded
     fam = build_family(3, 3)
     x = np.linspace(0.0, L1, M)
-    mom = DataMoments(fam, x, f(x), f(x))
+    mom = DataMoments(fam, sampled(x, f(x), f(x)), L1)
     worst = 0.0
     for alpha in (1.3, 1.8):
         right, _ = mom.fractional_columns(alpha)  # integral of D^alpha phi_n(x) f(L1 - x)

@@ -50,7 +50,10 @@ class MeasurementSet:
 
     ``c`` / ``dcdt`` are the clean signals; ``c_noisy`` / ``dcdt_noisy``
     carry the measured (possibly noise-corrupted) channels and equal the
-    clean ones when no noise was added.
+    clean ones when no noise was added.  Building one checks the grid every
+    estimate rests on: x rises from x[0] = 0 in equal steps (to 1e-9 of a
+    step), and x, r, c_noisy and dcdt_noisy are finite (c and dcdt, which
+    no estimate reads, are not checked).
     """
 
     x: np.ndarray
@@ -67,6 +70,17 @@ class MeasurementSet:
         for name in ("c", "dcdt", "r", "c_noisy", "dcdt_noisy"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"array length mismatch on '{name}'")
+        for name in ("x", "r", "c_noisy", "dcdt_noisy"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"non-finite measurement samples in '{name}'")
+        x = self.x
+        dx = x[1] - x[0]
+        if not dx > 0:
+            raise ValueError("measurement grid must increase from 0")
+        if x[0] != 0.0:
+            raise ValueError(f"measurement grid must start at 0, got x[0]={x[0]}")
+        if not (np.abs(np.diff(x) - dx) <= 1e-9 * dx).all():
+            raise ValueError("measurement grid is not uniformly spaced")
 
 
 def exact_solution(model: TrueModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,10 +112,7 @@ def synthesize(
     x = np.linspace(0.0, model.L, M)
     c, dcdt = exact_solution(model, x)
     r = source_term(model, x)
-    ms = MeasurementSet(x, c, dcdt, r, c, dcdt)
-    if noise_level > 0.0:
-        ms = add_noise(ms, noise_level, seed)
-    return ms
+    return add_noise(MeasurementSet(x, c, dcdt, r, c, dcdt), noise_level, seed)
 
 
 def add_noise(ms: MeasurementSet, level: float, seed: int) -> MeasurementSet:
@@ -111,8 +122,8 @@ def add_noise(ms: MeasurementSet, level: float, seed: int) -> MeasurementSet:
     seeded numpy PCG64 generator (concentration draws first).  level = 0
     returns the input unchanged.
     """
-    if level < 0:
-        raise ValueError(f"noise level must be non-negative, got {level}")
+    if not (math.isfinite(level) and level >= 0):
+        raise ValueError(f"noise level must be finite and non-negative, got {level}")
     if level == 0:
         return ms
     rng = np.random.default_rng(seed)

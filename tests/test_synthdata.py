@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from fadeid.synthdata import (
 
 
 CANONICAL = TrueModel(nu=0.2, d=1.0, alpha=1.8, L=9.0, T=1.0)
+TABLE1 = TrueModel(nu=0.5, d=1.0, alpha=1.8, L=9.0, T=1.0)
 
 
 class TestTrueModel:
@@ -121,6 +123,11 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_noise(ms, -0.1, seed=0)
 
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -0.1])
+    def test_synthesize_rejects_invalid_level(self, level):
+        with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
+            synthesize(CANONICAL, 101, noise_level=level)
+
 
 class TestMeasurementSet:
     def test_boundary_values_clean(self):
@@ -131,6 +138,34 @@ class TestMeasurementSet:
         z = np.zeros(4)
         with pytest.raises(ValueError):
             MeasurementSet(np.zeros(5), z, z, z, z, z)
+
+    @pytest.mark.parametrize(
+        "x", [np.zeros(101), np.linspace(0.0, -9.0, 101), np.linspace(9.0, 0.0, 101)],
+        ids=["zero-span", "decreasing", "reversed"])
+    def test_grid_must_increase(self, x):
+        with pytest.raises(ValueError, match="must increase from 0"):
+            replace(synthesize(TABLE1, 101), x=x)
+
+    def test_coarse_tail_beyond_L1_rejected(self):
+        # uniform on [0, 5], then 8 points on [5.5, 9]: an estimate on [0, 5]
+        # would read only the uniform part, but the grid's mean spacing would
+        # snap L1 = 5 to x = 2.782
+        x = np.concatenate([np.linspace(0.0, 5.0, 5001), np.linspace(5.5, 9.0, 8)])
+        c, dcdt = exact_solution(TABLE1, x)
+        with pytest.raises(ValueError, match="not uniformly spaced"):
+            MeasurementSet(x, c, dcdt, source_term(TABLE1, x), c, dcdt)
+
+    @pytest.mark.parametrize(
+        "name,j,value",
+        [("x", 30, math.nan), ("x", 80, math.nan), ("x", -1, math.inf), ("c_noisy", 80, math.nan)],
+        ids=["nan-node-below-L1", "nan-node-beyond-L1", "inf-last-node", "nan-sample-beyond-L1"])
+    def test_non_finite_rejected(self, name, j, value):
+        # nodes 30 and 80 of 101 on [0, 9] lie below and beyond L1 = 5
+        ms = synthesize(TABLE1, 101, noise_level=0.02, seed=0)
+        bad = getattr(ms, name).copy()
+        bad[j] = value
+        with pytest.raises(ValueError, match=f"non-finite measurement samples in '{name}'"):
+            replace(ms, **{name: bad})
 
 
 
@@ -161,6 +196,14 @@ class TestCsvRoundTrip:
         path = tmp_path / "one.csv"
         path.write_text("x,c,dcdt,r,c_noisy,dcdt_noisy\n0,1,2,3,4,5\n")
         with pytest.raises(ValueError, match="at least 3 points"):
+            from_csv(path)
+
+    @pytest.mark.parametrize("x,match", [("0 1 3", "not uniformly spaced"), ("0 1 nan", "non-finite")],
+                             ids=["non-uniform", "nan-node"])
+    def test_bad_grid_rejected(self, tmp_path, x, match):
+        path = tmp_path / "grid.csv"
+        path.write_text("x,c,dcdt,r,c_noisy,dcdt_noisy\n" + "".join(f"{v},1,1,1,1,1\n" for v in x.split()))
+        with pytest.raises(ValueError, match=match):
             from_csv(path)
 
     def test_header_only_rejected(self, tmp_path):

@@ -12,8 +12,9 @@ pair, so slow drift of a shared machine falls on both sides alike.
     python3 tools/bench_record.py --out BENCH.json --parent ../parent
 
 The file holds every run, the median, quartiles, minimum and maximum of
-each metric per workload and tree, nproc, the Python/numpy/scipy versions
-and each tree's git revision.  Nothing here imports fadeid.  With
+each metric per workload and tree, the summed ``attempted`` and ``failed``
+ops per workload and tree, nproc, the Python/numpy/scipy versions and each
+tree's git revision.  Nothing here imports fadeid.  With
 ``--parent`` it also holds, per workload and metric of BENCHMARK.json, the
 pairs in which the tree beat the parent by the metric's ``better``
 direction, and whether that is a gain: at least 9 in 10 pairs won, and the
@@ -24,6 +25,9 @@ from the aggregate ``cpu`` line of /proc/stat, in ``clk_tck`` units) and the
 run's own user + system CPU time (``child_cpu_s``, a getrusage(RUSAGE_CHILDREN)
 delta); the summary holds their medians next to the metrics'.  Steal marks
 a noisy host; CPU time that moves with the tree marks a noisy change.
+
+The exit status is 1 when any run printed no summary or one that is not
+``correct``.
 """
 
 from __future__ import annotations
@@ -97,11 +101,16 @@ def stats(v: list[float]) -> dict:
 def summarize(runs: list[dict]) -> dict:
     """{workload: {tree: {metric: {median, q1, q3, min, max, n}}}} over the
     runs that printed a result; ``steal_ticks`` and ``child_cpu_s`` are
-    summarized too."""
+    summarized too, and ``ops`` holds the runs' summed ``attempted`` and
+    ``failed``."""
     values: dict = {}
+    ops: dict = {}
     for r in runs:
         if r["result"] is None:
             continue
+        total = ops.setdefault((r["workload"], r["tree"]), {"attempted": 0, "failed": 0})
+        for name in total:
+            total[name] += r["result"][name]
         per_metric = values.setdefault(r["workload"], {}).setdefault(r["tree"], {})
         for name, m in r["result"]["metrics"].items():
             per_metric.setdefault(name, []).append(m["value"])
@@ -109,7 +118,8 @@ def summarize(runs: list[dict]) -> dict:
             if r[name] is not None:
                 per_metric.setdefault(name, []).append(r[name])
     return {
-        w: {t: {m: stats(v) for m, v in metrics.items()} for t, metrics in trees.items()}
+        w: {t: {**{m: stats(v) for m, v in metrics.items()}, "ops": ops[w, t]}
+            for t, metrics in trees.items()}
         for w, trees in values.items()
     }
 
@@ -186,7 +196,7 @@ def main(argv=None) -> int:
                 if args.parent:
                     data["wins"] = paired_wins(runs, data["summary"], better)
                 Path(args.out).write_text(json.dumps(data, indent=1) + "\n")
-    return 0 if all(r["result"] is not None for r in runs) else 1
+    return 0 if all((r["result"] or {}).get("correct") for r in runs) else 1
 
 
 if __name__ == "__main__":
