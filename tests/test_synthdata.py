@@ -140,11 +140,14 @@ class TestMeasurementSet:
             MeasurementSet(np.zeros(5), z, z, z, z, z)
 
     @pytest.mark.parametrize(
-        "x", [np.zeros(101), np.linspace(0.0, -9.0, 101), np.linspace(9.0, 0.0, 101)],
-        ids=["zero-span", "decreasing", "reversed"])
+        "x",
+        [np.zeros(101), np.zeros(3), np.linspace(0.0, -9.0, 101), np.linspace(9.0, 0.0, 101)],
+        ids=["all-zero", "zero-span", "decreasing", "reversed"])
     def test_grid_must_increase(self, x):
+        # zero-span is the shortest grid a set accepts, three coincident nodes
+        c, dcdt = exact_solution(TABLE1, x)
         with pytest.raises(ValueError, match="must increase from 0"):
-            replace(synthesize(TABLE1, 101), x=x)
+            MeasurementSet(x, c, dcdt, source_term(TABLE1, x), c, dcdt)
 
     def test_coarse_tail_beyond_L1_rejected(self):
         # uniform on [0, 5], then 8 points on [5.5, 9]: an estimate on [0, 5]
