@@ -12,9 +12,10 @@ Configuration is a YAML file with nested sections mirroring
 
 A sweep's data set depends only on (truth, grid, noise level, seed), so the
 N x L1 cells of one (noise level, seed) pair fit the same samples.  The data
-set is the unit of work: each task synthesizes one data set and runs all of
-its cells on it.  The calling process is one of a sweep's workers; a pool
-forks the others.
+set is the unit of work, synthesized once for all of its cells.  Every data
+set has the same cells, so W worker processes split them evenly by stride:
+process k runs data sets k, k + W, k + 2W, ...  The calling process is
+process 0; a pool forks the other W - 1.
 """
 
 from __future__ import annotations
@@ -24,9 +25,9 @@ import csv
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, asdict, replace, field
 from itertools import product
+from multiprocessing import Pool
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -157,15 +158,18 @@ def _run_cell(spec, ms: MeasurementSet, idx, noise, n, L1, seed) -> ResultRow:
     return row
 
 
-def _run_data_set(task) -> list[ResultRow]:
-    """Synthesize one (noise, seed) data set and run the given cells on it."""
-    spec, (noise, seed), cells = task
-    try:
-        ms = synthesize(spec.truth, spec.grid_points, noise, seed)
-    except Exception as exc:  # every cell of this data set records the failure
-        error = f"{type(exc).__name__}: {exc}"
-        return [ResultRow(idx, noise, n, L1, seed, error=error) for idx, n, L1 in cells]
-    return [_run_cell(spec, ms, idx, noise, n, L1, seed) for idx, n, L1 in cells]
+def _run_data_set(tasks) -> list[ResultRow]:
+    """Synthesize each (noise, seed) data set in turn and run its cells on it."""
+    rows = []
+    for spec, (noise, seed), cells in tasks:
+        try:
+            ms = synthesize(spec.truth, spec.grid_points, noise, seed)
+        except Exception as exc:  # every cell of this data set records the failure
+            error = f"{type(exc).__name__}: {exc}"
+            rows += [ResultRow(idx, noise, n, L1, seed, error=error) for idx, n, L1 in cells]
+        else:
+            rows += [_run_cell(spec, ms, idx, noise, n, L1, seed) for idx, n, L1 in cells]
+    return rows
 
 
 def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
@@ -174,10 +178,9 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
     Each (noise, seed) data set is one task, synthesized once.  Tasks run
     serially unless at least 2 workers are allowed: at most ``workers``
     (default: the CPUs this process may run on, else all CPUs), one per task
-    and one per ``_POOL_CELL_POINTS``.  The calling process is one of them: it
-    runs the last task, then from the back each task that none of the
-    ``workers - 1`` pool processes has started.  Rows come back in product
-    order (``cell_index``).
+    and one per ``_POOL_CELL_POINTS``.  Worker k runs ``tasks[k::workers]``:
+    the calling process is worker 0, a pool forks the rest and is terminated
+    when the sweep ends or is interrupted.  Rows come back in product order.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -191,20 +194,13 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
         affinity = getattr(os, "sched_getaffinity", None)
         workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(workers, cap) if cap > 1 else 1
-    if workers > 1:  # workers - 1 children; this process works from the back
-        *pooled, own = tasks
-        with ProcessPoolExecutor(max_workers=workers - 1) as pool:
-            futures = [pool.submit(_run_data_set, task) for task in pooled]
-            try:  # own, then each task no child has started yet
-                parts = [_run_data_set(own)]
-                parts += [_run_data_set(task) for future, task in zip(futures[::-1], pooled[::-1])
-                          if future.cancel()]
-                parts += [f.result() for f in futures if not f.cancelled()]
-            except BaseException:  # an interrupt does not wait for the tasks left
-                pool.shutdown(cancel_futures=True)
-                raise
+    if workers > 1:
+        with Pool(workers - 1) as pool:
+            strides = [tasks[k::workers] for k in range(1, workers)]
+            pooled = pool.map_async(_run_data_set, strides, chunksize=1)
+            parts = [_run_data_set(tasks[::workers]), *pooled.get()]
     else:
-        parts = map(_run_data_set, tasks)
+        parts = [_run_data_set(tasks)]
     return sorted((r for part in parts for r in part), key=lambda r: r.cell_index)
 
 
@@ -370,7 +366,8 @@ def main(argv=None) -> int:
     p_sw.add_argument("--workers", type=_worker_count, default=None,
                       help="cap on the processes that fit cells, this one included (default: "
                       "the CPUs this process may run on); at most one per data set and per "
-                      f"{_POOL_CELL_POINTS} cells x grid points")
+                      f"{_POOL_CELL_POINTS} cells x grid points; the data sets are dealt to "
+                      "them in turn, so each runs an equal share")
     p_sw.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
     p_sw.set_defaults(func=_cmd_sweep, spec=_sweep_spec)
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, perm
+from math import comb, isfinite, perm
 
 import numpy as np
 
@@ -97,10 +97,10 @@ def build_family(N: int, b: int) -> ModulatingFamily:
 def snap_node(L1: float, span: float, M: int) -> int:
     """The index j of the node nearest L1 on M uniform points spanning
     [0, span]; [0, x_j] must hold at least 3 points, so 2 <= j < M."""
-    j = int(round(L1 / (span / (M - 1))))
-    if j < 2 or j >= M:
+    steps = L1 / (span / (M - 1))
+    if not (isfinite(steps) and 2 <= round(steps) < M):
         raise ValueError(f"L1={L1} does not leave a usable sub-grid")
-    return j
+    return int(round(steps))
 
 
 class DataMoments:

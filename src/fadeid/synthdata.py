@@ -53,7 +53,8 @@ class MeasurementSet:
     clean ones when no noise was added.  Building one checks the grid every
     estimate rests on: x rises from x[0] = 0 in equal steps (to 1e-9 of a
     step), and x, r, c_noisy and dcdt_noisy are finite (c and dcdt, which
-    no estimate reads, are not checked).
+    no estimate reads, are not checked).  The set holds read-only views of
+    the arrays it is given, so the checked samples cannot be edited later.
     """
 
     x: np.ndarray
@@ -64,6 +65,10 @@ class MeasurementSet:
     dcdt_noisy: np.ndarray
 
     def __post_init__(self):
+        for name in ("x", "c", "dcdt", "r", "c_noisy", "dcdt_noisy"):
+            view = np.asarray(getattr(self, name)).view()
+            view.flags.writeable = False
+            object.__setattr__(self, name, view)
         n = len(self.x)
         if n < 3:
             raise ValueError(f"grid needs at least 3 points, got M={n}")

@@ -1,8 +1,17 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npp
 
 from fadeid.fracpoly import power_rule
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail any test after which a child process is still running."""
+    yield
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture(scope="session")

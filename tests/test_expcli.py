@@ -3,9 +3,9 @@ import math
 import multiprocessing
 import os
 import time
-from concurrent.futures import Future
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_type_hints
 
 import pytest
@@ -46,26 +46,36 @@ def write_cfg(tmp_path, data, name="cfg.yaml"):
     return p
 
 
-#: the data sets _run_data_set_here ran in this process
+#: the seeds of each share of data sets _run_data_set_here ran in this process
 _RAN_HERE = []
-
-
-def _run_data_set_here(task):
-    # module level, so that a pool can pickle it by name
-    _RAN_HERE.append(task[1])
-    return _run_data_set(task)
-
-
-#: the directory in which _interrupted_here's children mark each task they start
+#: the directory in which a child marks each share or data set it starts
 _CHILD_MARKS = None
 
 
-def _interrupted_here(task):
+def _seeds(tasks) -> list[int]:
+    return [seed for _, (_, seed), _ in tasks]
+
+
+def _run_data_set_here(tasks):
+    # module level, so that a pool can pickle it by name
+    if multiprocessing.parent_process() is None:  # the calling process
+        _RAN_HERE.append(_seeds(tasks))
+    else:  # a child's list is its own copy: it leaves a mark named by the seeds
+        (_CHILD_MARKS / " ".join(map(str, _seeds(tasks)))).touch()
+    return _run_data_set(tasks)
+
+
+def _child_shares(marks) -> list[list[int]]:
+    return sorted([int(seed) for seed in mark.name.split()] for mark in marks.iterdir())
+
+
+def _interrupted_here(tasks):
     if multiprocessing.parent_process() is None:  # the calling process
         raise KeyboardInterrupt
-    (_CHILD_MARKS / str(task[1][1])).touch()
-    time.sleep(0.05)
-    return _run_data_set(task)
+    for seed in _seeds(tasks):  # 2 s a share, far longer than run() takes to stop it
+        (_CHILD_MARKS / str(seed)).touch()
+        time.sleep(0.5)
+    return _run_data_set(tasks)
 
 
 def read_rows(path) -> list[ResultRow]:
@@ -232,14 +242,14 @@ class TestRun:
 
     def test_parallel_matches_serial(self, monkeypatch):
         asked = []
-        pool = expcli.ProcessPoolExecutor
+        pool = expcli.Pool
 
-        def recording_pool(max_workers):
-            asked.append(max_workers)
-            return pool(max_workers=max_workers)
+        def recording_pool(processes):
+            asked.append(processes)
+            return pool(processes)
 
         # a real pool of one worker per data set, however little work a cell is
-        monkeypatch.setattr(expcli, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(expcli, "Pool", recording_pool)
         monkeypatch.setattr(expcli, "_POOL_CELL_POINTS", 1)
         spec = spec_from_dict(
             {**FAST, "mode": "two-param", "seeds": [0, 1], "noise_levels": [0.0, 0.02]}
@@ -258,17 +268,35 @@ class TestRun:
         # the calling process is one of the workers: the pool forks the rest
         assert asked == [1, 3, 1, 3]
 
-    def test_calling_process_works_and_reaps_its_pool(self, monkeypatch):
+    def test_calling_process_works_and_reaps_its_pool(self, monkeypatch, tmp_path):
+        # the pool runs the other strides, one share per call; the conftest
+        # fixture checks that no pool process outlives run()
         monkeypatch.setattr(expcli, "_run_data_set", _run_data_set_here)
         monkeypatch.setattr(expcli, "_POOL_CELL_POINTS", 1)
-        spec = spec_from_dict({**FAST, "mode": "two-param", "seeds": [0, 1, 2, 3]})
+        monkeypatch.setitem(globals(), "_RAN_HERE", [])
+        spec = spec_from_dict({**FAST, "mode": "two-param", "seeds": list(range(8))})
         serial = run(spec, workers=1)
         for workers in (2, 4):
-            _RAN_HERE.clear()
+            marks = tmp_path / str(workers)
+            marks.mkdir()
+            monkeypatch.setitem(globals(), "_CHILD_MARKS", marks)  # read after the fork
             assert run(spec, workers) == serial
-            # the last data set first; the children append to their own copies
-            assert _RAN_HERE[0] == (0.0, 3)
-            assert multiprocessing.active_children() == []
+            assert _child_shares(marks) == [list(range(k, 8, workers)) for k in range(1, workers)]
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_calling_process_runs_every_wth_data_set(self, monkeypatch, tmp_path, workers):
+        monkeypatch.setattr(expcli, "_run_data_set", _run_data_set_here)
+        monkeypatch.setattr(expcli, "_POOL_CELL_POINTS", 1)
+        monkeypatch.setitem(globals(), "_CHILD_MARKS", tmp_path)
+        ran = []
+        monkeypatch.setitem(globals(), "_RAN_HERE", ran)
+        spec = spec_from_dict({**FAST, "mode": "two-param", "seeds": list(range(8))})
+        serial = run(spec, workers=1)
+        assert ran == [list(range(8))]
+        ran.clear()
+        assert run(spec, workers) == serial
+        # data sets 0, W, 2W, ... and nothing else, in one share
+        assert ran == [list(range(0, 8, workers))]
 
     def test_interrupt_cancels_tasks_not_started(self, monkeypatch, tmp_path):
         monkeypatch.setattr(expcli, "_run_data_set", _interrupted_here)
@@ -277,17 +305,17 @@ class TestRun:
         spec = spec_from_dict({**FAST, "mode": "two-param", "seeds": list(range(8))})
         with pytest.raises(KeyboardInterrupt):
             run(spec, workers=2)
-        # the child ran what it had taken, not all 7 tasks submitted to it
-        assert len(list(tmp_path.iterdir())) < 7
-        assert multiprocessing.active_children() == []
+        # the child was stopped inside its share of data sets 1, 3, 5 and 7
+        started = sorted(int(mark.name) for mark in tmp_path.iterdir())
+        assert started == [1, 3, 5, 7][:len(started)] and len(started) < 4
 
     def test_pool_sized_by_cell_points(self, monkeypatch):
-        asked, submitted, synthesized = [], [], []
+        asked, mapped, synthesized = [], [], []
 
-        class SerialPool:  # starts no process: each task runs when submitted
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-                submitted.clear()
+        class SerialPool:  # starts no process: each share runs when mapped
+            def __init__(self, processes):
+                asked.append(processes)
+                mapped.clear()
 
             def __enter__(self):
                 return self
@@ -295,13 +323,13 @@ class TestRun:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, task):
-                submitted.append(task[2])
-                future = Future()
-                future.set_result(fn(task))
-                return future
+            def map_async(self, fn, shares, chunksize):
+                assert chunksize == 1
+                mapped.extend(shares)
+                rows = [fn(share) for share in shares]
+                return SimpleNamespace(get=lambda: rows)
 
-        monkeypatch.setattr(expcli, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(expcli, "Pool", SerialPool)
         monkeypatch.setattr(expcli, "synthesize", lambda *a: synthesized.append(a[2:]))
         monkeypatch.setattr(expcli, "_run_cell",
                             lambda spec, ms, idx, *cell: ResultRow(idx, *cell))
@@ -312,7 +340,7 @@ class TestRun:
             lists = {"noise_levels": [0.02], "n_list": list(n_list), "L1_list": list(L1_list),
                      "seeds": list(range(n_sets))}
             rows = run(spec_from_dict({**FAST, "estimator": {"M": M}, **lists}), workers)
-            assert synthesized == [(0.02, seed) for seed in range(n_sets)]  # once per data set
+            assert sorted(synthesized) == [(0.02, seed) for seed in range(n_sets)]  # once each
             assert [(r.noise_level, r.n_funcs, r.L1, r.seed) for r in rows] == list(
                 product(*lists.values())
             )
@@ -323,10 +351,12 @@ class TestRun:
         # the calling process and a pool of the rest
         for n_sets, pool in [(1, []), (3, []), (4, [1]), (5, [1]), (8, [3])]:
             assert sweep(31501, n_sets) == pool
-        # the table1-sweep shape on 2 workers: 8 tasks of 5 cells, the last
-        # one run by the calling process
+        # the table1-sweep shape on 2 workers: 8 tasks of 5 cells, the odd
+        # ones mapped to the pool's one process
         assert sweep(31501, 8, workers=2) == [1]
-        assert [len(cells) for cells in submitted] == [5] * 7
+        assert [[(seed, len(cells)) for _, (_, seed), cells in share] for share in mapped] == [
+            [(1, 5), (3, 5), (5, 5), (7, 5)]
+        ]
         assert sweep(31501, 8, workers=1) == []
         # the work counts, not the data sets: no pool for 8 data sets of a
         # smaller grid or of one cell each, two workers for 2 data sets of 30

@@ -1,4 +1,4 @@
-from math import comb
+from math import comb, inf, nan
 
 import mpmath as mp
 import numpy as np
@@ -147,6 +147,11 @@ class TestDataMoments:
         refs = np.array([trapezoid(rl_reference(m, alpha, x) * c[::-1], dx=x[1]) for m in members(fam, 9.0)])
         for got, ref in zip((B, G), refs.T):
             assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
+
+    @pytest.mark.parametrize("L1", [nan, inf, -inf])
+    def test_non_finite_L1_rejected(self, fam, L1):
+        with pytest.raises(ValueError, match=f"L1={L1} does not leave a usable sub-grid"):
+            DataMoments(fam, synthesize(TrueModel(), 101), L1)
 
     @pytest.mark.parametrize("N", [3, 7, 11, 20])
     def test_alpha_free_columns_match_longdouble(self, table1, N):

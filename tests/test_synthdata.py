@@ -170,6 +170,23 @@ class TestMeasurementSet:
         with pytest.raises(ValueError, match=f"non-finite measurement samples in '{name}'"):
             replace(ms, **{name: bad})
 
+    def test_holds_read_only_views(self):
+        # no copy, and the caller's own arrays stay writable
+        x = np.linspace(0.0, 9.0, 101)
+        c, dcdt = exact_solution(TABLE1, x)
+        given = (x, c, dcdt, source_term(TABLE1, x), c.copy(), dcdt.copy())
+        ms = MeasurementSet(*given)
+        for name, array in zip(("x", "c", "dcdt", "r", "c_noisy", "dcdt_noisy"), given):
+            held = getattr(ms, name)
+            assert np.shares_memory(held, array) and not held.flags.writeable
+            assert array.flags.writeable
+
+    def test_checked_grid_cannot_be_edited(self):
+        # the edit would make a two-param estimate return nu = -0.474, unchecked
+        ms = synthesize(TrueModel(nu=0.5), 101)
+        with pytest.raises(ValueError, match="read-only"):
+            ms.x[30] = 3.0
+        assert ms.x[30] == np.linspace(0.0, 9.0, 101)[30]
 
 
 class TestCsvRoundTrip:
