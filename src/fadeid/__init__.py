@@ -21,6 +21,7 @@ from .estimator import (
     linearize,
     estimate_two_param,
     newton_estimate,
+    newton_fit,
 )
 
 __version__ = "0.1.0"

@@ -23,6 +23,9 @@ Only B and G depend on alpha.  The measurements are reduced once per
 estimate to a :class:`~fadeid.modfun.DataMoments` (A, C and the alpha-free
 moment block) by :func:`measurement_moments`, which reads only the measured
 channels on [0, L1]; the MeasurementSet checked the grid when it was built.
+:func:`newton_fit` is the one Gauss-Newton loop on given moments:
+:func:`newton_estimate` runs it on config's own block, and a sweep runs it on
+views that ``DataMoments.lift`` makes of one block per data set and L1.
 :func:`linearize` is the one Stage-1 routine: at a given alpha it forms
 (B, G) with one small matrix product and takes one SVD of [A B], which
 solves both the Stage-1 system and the derivative system of Proposition 1
@@ -91,11 +94,13 @@ class EstimatorConfig:
     def __post_init__(self):
         if not 1.0 < self.alpha0 <= 2.0:
             raise ValueError(f"alpha0 must be in (1, 2], got {self.alpha0}")
-        if not (np.isfinite(self.L1) and self.L1 > 0):
+        if isinstance(self.L1, bool) or not (np.isfinite(self.L1) and self.L1 > 0):
             raise ValueError(f"L1 must be positive and finite, got {self.L1}")
         if not all(isinstance(v, Integral) and v >= 2 for v in (self.N, self.b)):
             raise ValueError(f"N and b must be integers >= 2, got N={self.N!r}, b={self.b!r}")
-        if not (isinstance(self.max_iter, Integral) and self.max_iter >= 0):
+        if isinstance(self.max_iter, bool) or not (
+            isinstance(self.max_iter, Integral) and self.max_iter >= 0
+        ):
             raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 
@@ -150,18 +155,22 @@ def estimate_two_param(
 
 
 def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResult:
-    """Full two-stage iteration for (nu, d, alpha).
+    """Full two-stage iteration for (nu, d, alpha): config's moments of the
+    measurements on [0, L1], built once, then :func:`newton_fit` on them."""
+    return newton_fit(measurement_moments(ms, config), config)
 
-    The moments of the measurements on [0, L1] are built once; each iterate
-    calls :func:`linearize` at the current alpha, then takes a clamped
-    scalar Gauss-Newton step dalpha = <K', U - K> / <K', K'> projected into
-    (1 + 1e-6, 2].  Stops when the alpha step falls below ALPHA_TOL
-    (converged, stationary point), or at max_iter (flagged not converged),
-    and returns the last iterate with its J = ||K - U||^2.  <K', K'> at or
-    below 1e-30 <U, U> raises GradientDegenerateError; both scale alike with
-    the length unit, so the test does not depend on it.
+
+def newton_fit(mom: DataMoments, config: EstimatorConfig) -> EstimateResult:
+    """Stage 2 on given moments, from config.alpha0 for at most config.max_iter steps.
+
+    Each iterate calls :func:`linearize` at the current alpha, then takes a
+    clamped scalar Gauss-Newton step dalpha = <K', U - K> / <K', K'>
+    projected into (1 + 1e-6, 2].  Stops when the alpha step falls below
+    ALPHA_TOL (converged, stationary point), or at max_iter (flagged not
+    converged), and returns the last iterate with its J = ||K - U||^2.
+    <K', K'> at or below 1e-30 <U, U> raises GradientDegenerateError; both
+    scale alike with the length unit, so the test does not depend on it.
     """
-    mom = measurement_moments(ms, config)
     U = mom.C
 
     alpha = float(config.alpha0)

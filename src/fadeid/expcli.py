@@ -12,7 +12,10 @@ Configuration is a YAML file with nested sections mirroring
 
 A sweep's data set depends only on (truth, grid, noise level, seed), so the
 N x L1 cells of one (noise level, seed) pair fit the same samples.  The data
-set is the unit of work, synthesized once for all of its cells.  Every data
+set is the unit of work, synthesized once for all of its cells.  Its cells
+at one L1 share one moment block, built for the largest swept N; each cell
+fits that block lifted to its own N, and the cells share its grid
+contraction at every alpha they have in common.  Every data
 set has the same cells, so W worker processes split them evenly by stride:
 process k runs data sets k, k + W, k + 2W, ...  The calling process is
 process 0; a pool forks the other W - 1.
@@ -34,13 +37,13 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .estimator import EstimatorConfig, estimate_two_param, newton_estimate
-from .modfun import snap_node
-from .synthdata import MeasurementSet, TrueModel, synthesize
+from .estimator import EstimatorConfig, linearize, measurement_moments, newton_fit
+from .modfun import DataMoments, build_family, snap_node
+from .synthdata import TrueModel, synthesize
 
 MODES = ("two-param", "three-param")
 #: cells x grid points per worker: on 2 CPUs, 2/3/4/8 Table-1 data sets
-#: (5 cells at M = 31501) took 41/64/92/140 ms serially, 45/67/85/118 ms on
+#: (5 cells at M = 31501) took 46/69/77/165 ms serially, 55/81/70/129 ms on
 #: the calling process and one pool process
 _POOL_CELL_POINTS = 2 * 5 * 31501
 
@@ -67,10 +70,12 @@ class ExperimentSpec:
             if not (isinstance(getattr(self, name), list) and getattr(self, name)):
                 raise ValueError(f"sweep list '{name}' must be a non-empty list")
         for level in self.noise_levels:
-            if not (isinstance(level, Real) and math.isfinite(level) and level >= 0):
+            if isinstance(level, bool) or not (
+                isinstance(level, Real) and math.isfinite(level) and level >= 0
+            ):
                 raise ValueError(f"noise levels must be finite and >= 0, got {level!r}")
         for seed in self.seeds:
-            if not (isinstance(seed, Integral) and seed >= 0):
+            if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
                 raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
         for n, L1 in product(self.n_list, self.L1_list):
             replace(self.estimator, N=n, L1=L1)  # the estimator's own N and L1 rules
@@ -131,17 +136,18 @@ def load_spec(path) -> ExperimentSpec:
         return spec_from_dict(yaml.safe_load(fh) or {})
 
 
-def _run_cell(spec, ms: MeasurementSet, idx, noise, n, L1, seed) -> ResultRow:
+def _run_cell(spec, block: DataMoments, idx, noise, n, L1, seed) -> ResultRow:
+    """Fit one cell on the moments lifted from its data set's block at L1."""
     row = ResultRow(idx, noise, n, L1, seed)
     truth = spec.truth
     try:
-        cfg = replace(spec.estimator, N=n, L1=L1)
+        mom = block.lift(build_family(n, spec.estimator.b))
         if spec.mode == "two-param":
-            nu, d, _ = estimate_two_param(ms, cfg, truth.alpha)
-            row.est_nu, row.est_d, row.est_alpha = nu, d, truth.alpha
+            lin = linearize(mom, truth.alpha)
+            row.est_nu, row.est_d, row.est_alpha = lin.nu, lin.d, truth.alpha
             row.converged = True
         else:
-            res = newton_estimate(ms, cfg)
+            res = newton_fit(mom, spec.estimator)
             row.est_nu, row.est_d, row.est_alpha = res.nu, res.d, res.alpha
             row.iterations = len(res.iterations)
             row.converged = res.converged
@@ -158,8 +164,21 @@ def _run_cell(spec, ms: MeasurementSet, idx, noise, n, L1, seed) -> ResultRow:
     return row
 
 
+def _run_block(spec, ms, noise, L1, seed, cells) -> list[ResultRow]:
+    """Build the data set's moment block at L1 for the largest swept N and fit
+    the cells (idx, n) on it; the block is freed on return."""
+    try:
+        cfg = replace(spec.estimator, N=max(spec.n_list), L1=L1)
+        block = measurement_moments(ms, cfg)
+    except Exception as exc:  # every cell at this L1 records the failure
+        error = f"{type(exc).__name__}: {exc}"
+        return [ResultRow(idx, noise, n, L1, seed, error=error) for idx, n in cells]
+    return [_run_cell(spec, block, idx, noise, n, L1, seed) for idx, n in cells]
+
+
 def _run_data_set(tasks) -> list[ResultRow]:
-    """Synthesize each (noise, seed) data set in turn and run its cells on it."""
+    """Synthesize each (noise, seed) data set in turn and run its cells on it,
+    one L1 at a time."""
     rows = []
     for spec, (noise, seed), cells in tasks:
         try:
@@ -167,8 +186,12 @@ def _run_data_set(tasks) -> list[ResultRow]:
         except Exception as exc:  # every cell of this data set records the failure
             error = f"{type(exc).__name__}: {exc}"
             rows += [ResultRow(idx, noise, n, L1, seed, error=error) for idx, n, L1 in cells]
-        else:
-            rows += [_run_cell(spec, ms, idx, noise, n, L1, seed) for idx, n, L1 in cells]
+            continue
+        by_L1: dict[float, list] = {}
+        for idx, n, L1 in cells:
+            by_L1.setdefault(L1, []).append((idx, n))
+        for L1, group in by_L1.items():
+            rows += _run_block(spec, ms, noise, L1, seed, group)
     return rows
 
 

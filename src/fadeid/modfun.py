@@ -36,8 +36,20 @@ with r = p-i-a and g_p = Gamma(p+1)/Gamma(p+1-alpha).  T depends only on
 
 B = Q (g m) and G = Q' (g m) + Q (psi g m - g l), Q' = dQ/dalpha.  The
 block V[p, j] = w_j c(L1-x_j) X_p(x_j) is stored once, so each alpha costs
-one (P x M) by (M x 2) contraction.  The x = 0 sample, where every term
-vanishes, is left out.
+one (P x M) by (M x 2) contraction, made once per exact alpha and kept.
+The x = 0 sample, where every term vanishes, is left out.
+
+One block serves every family with the same b and a lower degree
+D_N = D - k (a smaller N).  Degree elevation, multiplying by
+((x + y)/L1)^k = 1, writes each basis function of degree D_N as
+
+    x^p y^(D_N-p) = sum_i C(k, i) L1^-k X_(p+i),   i = 0..k,
+
+a sum of positive terms with no cancellation (Farouki & Rajan, Comput.
+Aided Geom. Des. 5, 1988).  So s_c, s_r, m and l of such a family are one
+small matrix product of the block's (:meth:`DataMoments.lift`), and the
+families of a sweep share the block's contraction at every alpha they have
+in common.
 
 Each grid contraction is one BLAS matrix product, 0.07 ms at M = 31500,
 N = 3 (2 CPUs, OpenBLAS 0.3.31).
@@ -45,6 +57,7 @@ N = 3 (2 CPUs, OpenBLAS 0.3.31).
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, isfinite, perm
@@ -105,7 +118,11 @@ def snap_node(L1: float, span: float, M: int) -> int:
 
 class DataMoments:
     """The family integrated against c = c_noisy and rhs = dcdt_noisy - r on
-    [0, L1], L1 snapped to a node: A and C, and B(alpha), G(alpha) on demand."""
+    [0, L1], L1 snapped to a node: A and C, and B(alpha), G(alpha) on demand.
+
+    The grid sums (s_c, s_r, V) serve every family with the same b and a
+    degree up to this one's: :meth:`lift` returns such a family's moments,
+    sharing them and the per-alpha memo of the grid contraction."""
 
     def __init__(self, fam: ModulatingFamily, ms: MeasurementSet, L1: float):
         M = snap_node(L1, ms.x[-1], len(ms.x)) + 1
@@ -123,27 +140,66 @@ class DataMoments:
         ratio = (L1 - xp) / xp
         for i in range(D - b, 0, -1):
             np.multiply(X[i], ratio, out=X[i - 1])
-        s_c, s_r = W @ X.T
-        a, e = np.array(fam.powers).T
-        row = a - b
-        self.A = (-a * s_c[row - 1] + (e - a) * s_c[row] + e * s_c[row + 1]) / L1
-        self.C = s_r[row]
+        self.s_c, self.s_r = W @ X.T  # over p = b..D
 
         X *= W[0]
         self.V = X[1:]  # V[p - b - 1, j] = w_j c(L1 - x_j) x_j^p (L1 - x_j)^(D-p)
-        self.p = np.arange(b + 1, D + 1, dtype=float)
-        self.T = fam.table
+        self.b, self.degree, self.L1 = b, D, L1
         self._weights = np.empty((2, M - 1))
+        self._memo: dict[float, np.ndarray] = {}  # alpha -> (m, l) over p = b+1..D
+        self._use(fam, None)
+
+    def _use(self, fam: ModulatingFamily, E: np.ndarray | None) -> None:
+        """Set A, C and the fractional tables to fam's; E lifts the basis sums
+        to fam's degree, None when it is this block's own."""
+        s_c, s_r = (self.s_c, self.s_r) if E is None else (E @ self.s_c, E @ self.s_r)
+        a, e = np.array(fam.powers).T
+        row = a - fam.b
+        self.A = (-a * s_c[row - 1] + (e - a) * s_c[row] + e * s_c[row + 1]) / self.L1
+        self.C = s_r[row]
+        self.p = np.arange(fam.b + 1, fam.degree + 1, dtype=float)
+        self.T = fam.table
+        self._lift = None if E is None else E[1:, 1:]
+
+    def lift(self, fam: ModulatingFamily) -> DataMoments:
+        """fam's moments from this block, for fam with the same b and a degree
+        D_N = D - k <= D.  Multiplying by ((x + y)/L1)^k = 1 writes each basis
+        function of degree D_N as sum_i C(k, i) L1^-k X_(p+i), a positive sum,
+        so every lifted sum is a small matrix product of this block's; k = 0
+        lifts nothing.  The view shares the grid sums and the alpha memo."""
+        k = self.degree - fam.degree
+        if fam.b != self.b or k < 0:
+            raise ValueError(f"cannot lift a degree-{self.degree}, b={self.b} block to "
+                             f"N={fam.n_funcs}, b={fam.b}")
+        E = None
+        if k:
+            P = np.arange(fam.degree - fam.b + 1)
+            E = np.zeros((len(P), len(P) + k))
+            for i in range(k + 1):  # exact integers, rounded once
+                E[P, P + i] = comb(k, i) / self.L1**k
+        view = copy(self)
+        view._use(fam, E)
+        return view
+
+    def _grid_moments(self, alpha: float) -> np.ndarray:
+        """(m, l) of the module docstring over p = b+1..D: one BLAS product,
+        made once per exact alpha and kept."""
+        ml = self._memo.get(alpha)
+        if ml is None:
+            W = self._weights
+            np.exp(np.multiply(self.log_x, -alpha, out=W[0]), out=W[0])  # x^-alpha
+            np.multiply(W[0], self.log_x, out=W[1])
+            ml = self._memo[alpha] = W @ self.V.T
+            ml.flags.writeable = False
+        return ml
 
     def fractional_columns(self, alpha: float) -> tuple[np.ndarray, np.ndarray]:
         """B(alpha) and its order-derivative G(alpha), for alpha in (1, 2]."""
         alpha = float(alpha)
         if not 1.0 < alpha <= 2.0:
             raise ValueError(f"alpha must be in (1, 2], got {alpha}")
-        W = self._weights
-        np.exp(np.multiply(self.log_x, -alpha, out=W[0]), out=W[0])  # x^-alpha
-        np.multiply(W[0], self.log_x, out=W[1])
-        m, l = W @ self.V.T
+        ml = self._grid_moments(alpha)
+        m, l = ml if self._lift is None else ml @ self._lift.T
         g, psi = power_rule(self.p, alpha)
         q, dq = [1.0], [0.0]  # (2-alpha)_i and its alpha-derivative
         for i in range(1, self.T.shape[2]):

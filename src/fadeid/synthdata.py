@@ -54,7 +54,10 @@ class MeasurementSet:
     estimate rests on: x rises from x[0] = 0 in equal steps (to 1e-9 of a
     step), and x, r, c_noisy and dcdt_noisy are finite (c and dcdt, which
     no estimate reads, are not checked).  The set holds read-only views of
-    the arrays it is given, so the checked samples cannot be edited later.
+    the arrays it is given, not copies, so nothing edits the checked samples
+    through the set; but a set built directly borrows the caller's arrays,
+    and an edit through them after the checks still reaches every estimate.
+    :func:`synthesize` and :func:`from_csv` hand over arrays no caller holds.
     """
 
     x: np.ndarray

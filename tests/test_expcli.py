@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import time
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,14 @@ import pytest
 import yaml
 
 from fadeid import expcli
-from fadeid.estimator import EstimatorConfig, estimate_two_param, newton_estimate
+from fadeid.estimator import (
+    EstimatorConfig,
+    linearize,
+    measurement_moments,
+    newton_estimate,
+    newton_fit,
+)
+from fadeid.modfun import DataMoments, build_family
 from fadeid.synthdata import synthesize
 from fadeid.expcli import (
     ExperimentSpec,
@@ -134,6 +142,21 @@ class TestSpecConstruction:
         with pytest.raises(ValueError):
             spec_from_dict(data)
 
+    @pytest.mark.parametrize("data,match", [
+        ({"seeds": [True, False]}, "seeds must be integers"),
+        ({"seeds": [0, True]}, "seeds must be integers"),
+        ({"noise_levels": [True]}, "noise levels must be finite"),
+        ({"L1_list": [True]}, "L1 must be positive"),
+        ({"estimator": {"M": 2701, "max_iter": True}}, "max_iter must be an integer"),
+        ({"estimator": {"M": 2701, "max_iter": False}}, "max_iter must be an integer"),
+    ])
+    def test_booleans_rejected(self, data, match):
+        # bool is an int subclass: True would pass as seed 1, 100 % noise or L1 = 1
+        with pytest.raises(ValueError, match=match):
+            spec_from_dict({"estimator": {"M": 2701}, **data})
+        with pytest.raises(ValueError, match="L1 must be positive"):
+            EstimatorConfig(L1=True)
+
     def test_L1_snapping_to_last_node_loads(self):
         # 9.01 on a spacing of 0.03 rounds to node 300, the last of 301
         spec = spec_from_dict({**FAST, "estimator": {"M": 301}, "L1_list": [9.01]})
@@ -219,15 +242,84 @@ class TestRun:
             "L1_list": [9.0, 5.0], "seeds": [0, 1],
         })
         for r in run(spec, workers=1):
+            # the same path as the sweep: the largest N's block, lifted to the cell's
             ms = synthesize(spec.truth, spec.grid_points, r.noise_level, r.seed)
             cfg = EstimatorConfig(L1=r.L1, N=r.n_funcs, alpha0=1.4)
+            block = measurement_moments(ms, replace(cfg, N=max(spec.n_list)))
+            mom = block.lift(build_family(r.n_funcs, cfg.b))
             if mode == "two-param":
-                nu, d, _ = estimate_two_param(ms, cfg, spec.truth.alpha)
-                alpha = spec.truth.alpha
+                lin = linearize(mom, spec.truth.alpha)
+                nu, d, alpha = lin.nu, lin.d, spec.truth.alpha
             else:
-                res = newton_estimate(ms, cfg)
+                res = newton_fit(mom, cfg)
                 nu, d, alpha = res.nu, res.d, res.alpha
             assert (r.est_nu, r.est_d, r.est_alpha) == (nu, d, alpha)
+
+    @pytest.mark.parametrize("L1", [9.0, 5.0])
+    def test_lifted_cells_match_single_fits(self, L1):
+        # Table-1 grid and noise: each cell fits the N = 11 block lifted to
+        # its N; a lone fit builds that N's own block
+        spec = spec_from_dict({**FAST, "estimator": {"M": 31501, "alpha0": 1.4},
+                               "noise_levels": [0.0, 0.02], "n_list": [3, 5, 7, 9, 11],
+                               "L1_list": [L1], "seeds": [0, 1]})
+        for r in run(spec, workers=1):
+            ms = synthesize(spec.truth, spec.grid_points, r.noise_level, r.seed)
+            res = newton_estimate(ms, EstimatorConfig(L1=L1, N=r.n_funcs, alpha0=1.4))
+            got, want = (r.est_nu, r.est_d, r.est_alpha), (res.nu, res.d, res.alpha)
+            if r.n_funcs == 11:  # the block's own family: nothing is lifted
+                assert got == want
+            assert got == pytest.approx(want, rel=1e-10, abs=0)
+            assert (r.iterations, r.converged) == (len(res.iterations), res.converged)
+
+    def test_lifted_fit_keeps_iterations_and_message(self):
+        ms = synthesize(spec_from_dict(FAST).truth, 31501, 0.02, 3)
+        block = measurement_moments(ms, EstimatorConfig(N=11))
+        for n in (3, 5, 7, 9):
+            cfg = EstimatorConfig(N=n, alpha0=1.4)
+            lifted, lone = newton_fit(block.lift(build_family(n, 3)), cfg), newton_estimate(ms, cfg)
+            assert (lifted.nu, lifted.d, lifted.alpha) == pytest.approx(
+                (lone.nu, lone.d, lone.alpha), rel=1e-10, abs=0)
+            assert len(lifted.iterations) == len(lone.iterations)
+            assert (lifted.message, lifted.converged) == (lone.message, lone.converged)
+
+    def test_one_block_and_one_contraction_per_alpha(self, monkeypatch):
+        blocks, evaluated, contracted = [], [], []
+        moments, grid = expcli.measurement_moments, DataMoments._grid_moments
+
+        def counting_moments(ms, cfg):
+            blocks.append((cfg.N, cfg.L1))
+            return moments(ms, cfg)
+
+        def counting_grid(self, alpha):
+            evaluated.append(alpha)
+            if alpha not in self._memo:
+                contracted.append(alpha)
+            return grid(self, alpha)
+
+        monkeypatch.setattr(expcli, "measurement_moments", counting_moments)
+        monkeypatch.setattr(DataMoments, "_grid_moments", counting_grid)
+        spec = spec_from_dict({**FAST, "noise_levels": [0.02], "n_list": [3, 5, 7, 9, 11]})
+        rows = run(spec, workers=1)
+        assert all(r.converged for r in rows)
+        assert blocks == [(11, 9.0)]
+        assert len(evaluated) == sum(r.iterations for r in rows)  # one per iterate
+        assert sorted(contracted) == sorted(set(evaluated))  # each alpha once
+        assert len(contracted) < len(evaluated)
+
+    def test_block_failure_recorded_per_cell_at_its_L1(self, monkeypatch):
+        moments = expcli.measurement_moments
+
+        def failing_moments(ms, cfg):
+            if cfg.L1 == 5.0:
+                raise ValueError("synthetic failure")
+            return moments(ms, cfg)
+
+        monkeypatch.setattr(expcli, "measurement_moments", failing_moments)
+        spec = spec_from_dict({**FAST, "mode": "two-param", "n_list": [3, 5],
+                               "L1_list": [9.0, 5.0]})
+        rows = run(spec, workers=1)
+        assert [(r.L1, r.error) for r in rows] == [
+            (9.0, ""), (5.0, "ValueError: synthetic failure")] * 2
 
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers, tmp_path):
@@ -375,7 +467,7 @@ class TestRun:
         def boom(*a, **k):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(expcli, "newton_estimate", boom)
+        monkeypatch.setattr(expcli, "newton_fit", boom)
         spec = spec_from_dict(FAST)
         rows = run(spec, workers=1)
         assert rows[0].error == "RuntimeError: synthetic failure"
@@ -566,7 +658,7 @@ class TestMain:
         def boom(*a, **k):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(expcli, "estimate_two_param", boom)
+        monkeypatch.setattr(expcli, "linearize", boom)
         cfg = write_cfg(tmp_path, {**FAST, "mode": "two-param"})
         out = tmp_path / "res"
         rc = main(["sweep", "--config", str(cfg), "--out", str(out),

@@ -257,3 +257,46 @@ class TestFractionalIntegrationByParts:
             left = trapezoid(member(Polynomial([L1, -1.0]))(x) * df, dx=dx)
             right = trapezoid(rl_reference(member, alpha, x)[0] * f(L1 - x), dx=dx)
             assert abs(left - right) <= 1e-4 * abs(right)
+
+
+class TestLift:
+    """A family's moments lifted from a higher-degree block by degree
+    elevation against the same family's own block."""
+
+    @pytest.fixture(scope="class")
+    def table1(self):
+        return synthesize(TABLE1, 31501, noise_level=0.02, seed=0)
+
+    @pytest.mark.parametrize("L1", [9.0, 5.0, 0.05])
+    def test_matches_own_block(self, table1, L1):
+        block = DataMoments(build_family(21, 3), table1, L1)
+        for N in range(2, 22):
+            fam = build_family(N, 3)
+            own, lifted = DataMoments(fam, table1, L1), block.lift(fam)
+            pairs = [(lifted.A, own.A), (lifted.C, own.C)]
+            for alpha in (1.01, 1.3, 1.8, 2.0):
+                pairs += zip(lifted.fractional_columns(alpha), own.fractional_columns(alpha))
+            for got, ref in pairs:
+                assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+    def test_own_degree_is_not_lifted(self, table1):
+        fam = build_family(7, 3)
+        block = DataMoments(fam, table1, 9.0)
+        view = block.lift(fam)
+        assert np.array_equal(view.A, block.A) and np.array_equal(view.C, block.C)
+        for got, ref in zip(view.fractional_columns(1.7), block.fractional_columns(1.7)):
+            assert np.array_equal(got, ref)
+
+    def test_views_share_the_alpha_memo(self, table1):
+        block = DataMoments(build_family(11, 3), table1, 9.0)
+        small, mid = block.lift(build_family(3, 3)), block.lift(build_family(7, 3))
+        small.fractional_columns(1.5)
+        mid.fractional_columns(1.5)
+        block.fractional_columns(1.6)
+        assert list(block._memo) == [1.5, 1.6] and mid._memo is block._memo
+
+    @pytest.mark.parametrize("N,b", [(12, 3), (3, 2), (5, 4)])
+    def test_other_b_or_higher_degree_rejected(self, table1, N, b):
+        block = DataMoments(build_family(11, 3), table1, 9.0)
+        with pytest.raises(ValueError, match="cannot lift"):
+            block.lift(build_family(N, b))

@@ -234,6 +234,29 @@ class TestCsvRoundTrip:
             with pytest.raises(ValueError, match="no data rows"):
                 from_csv(path)
 
+    def test_comments_and_blanks_only_rejected(self, tmp_path):
+        path = tmp_path / "comments.csv"
+        path.write_text("x,c,dcdt,r,c_noisy,dcdt_noisy\n# a note\n\n   \n# another\r\n\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no data rows"):
+                from_csv(path)
+
+    def test_comments_and_blanks_between_rows_round_trip(self, tmp_path):
+        ms = synthesize(CANONICAL, 31, noise_level=0.03, seed=2)
+        path = tmp_path / "ms.csv"
+        to_csv(ms, path)
+        header, *rows = path.read_text().splitlines()
+        lines = [header, "# written by hand", ""]
+        for i, row in enumerate(rows):
+            lines.append(row + ("  # trailing note" if i % 3 == 0 else ""))
+            if i % 4 == 1:
+                lines += ["", "# between rows", ""]
+        path.write_text("\n".join(lines + ["# end", ""]))
+        back = from_csv(path)
+        for name in ("x", "c", "dcdt", "r", "c_noisy", "dcdt_noisy"):
+            assert np.array_equal(getattr(ms, name), getattr(back, name))
+
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b\n1,2\n")

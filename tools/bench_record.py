@@ -17,8 +17,10 @@ ops per workload and tree, nproc, the Python/numpy/scipy versions and each
 tree's git revision.  Nothing here imports fadeid.  With
 ``--parent`` it also holds, per workload and metric of BENCHMARK.json, the
 pairs in which the tree beat the parent by the metric's ``better``
-direction, and whether that is a gain: at least 9 in 10 pairs won, and the
-medians apart by more than the parent's interquartile range, the right way.
+direction, whether that is a gain: at least 9 in 10 pairs won, and the
+medians apart by more than the parent's interquartile range, the right way,
+and whether it is a loss by the same rule turned round: at least 9 in 10
+pairs lost, and the medians apart by more than that range the wrong way.
 
 Each run also records the host's CPU steal over the run (``steal_ticks``,
 from the aggregate ``cpu`` line of /proc/stat, in ``clk_tck`` units) and the
@@ -125,10 +127,11 @@ def summarize(runs: list[dict]) -> dict:
 
 
 def paired_wins(runs: list[dict], summary: dict, better: dict[str, str]) -> dict:
-    """{workload: {metric: {wins, pairs, gain}}}: the pairs whose tree run beat
-    the parent's by ``better[metric]`` ("higher" or "lower"); ``gain`` holds
-    when wins >= 0.9 * pairs and the medians differ, the better way, by more
-    than the parent's interquartile range."""
+    """{workload: {metric: {wins, pairs, gain, loss}}}: the pairs whose tree
+    run beat the parent's by ``better[metric]`` ("higher" or "lower"); ``gain``
+    holds when wins >= 0.9 * pairs and the medians differ, the better way, by
+    more than the parent's interquartile range; ``loss`` when the tree lost
+    that many pairs and the medians differ by that much the worse way."""
     sign = {name: 1 if way == "higher" else -1 for name, way in better.items()}
     pairs: dict = {}
     for r in runs:
@@ -138,14 +141,17 @@ def paired_wins(runs: list[dict], summary: dict, better: dict[str, str]) -> dict
                 by_pair.setdefault(r["pair"], {})[r["tree"]] = m["value"]
     wins: dict = {}
     for (w, name), by_pair in pairs.items():
-        won = [sign[name] * (v["tree"] - v["parent"]) > 0 for v in by_pair.values() if len(v) == 2]
-        if not won:
+        diffs = [sign[name] * (v["tree"] - v["parent"]) for v in by_pair.values() if len(v) == 2]
+        if not diffs:
             continue
         tree, parent = summary[w]["tree"][name], summary[w]["parent"][name]
         gap = sign[name] * (tree["median"] - parent["median"])
+        iqr = parent["q3"] - parent["q1"]
+        won, lost = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
         wins.setdefault(w, {})[name] = {
-            "wins": sum(won), "pairs": len(won),
-            "gain": sum(won) >= 0.9 * len(won) and gap > parent["q3"] - parent["q1"]}
+            "wins": won, "pairs": len(diffs),
+            "gain": won >= 0.9 * len(diffs) and gap > iqr,
+            "loss": lost >= 0.9 * len(diffs) and -gap > iqr}
     return wins
 
 
