@@ -147,9 +147,9 @@ class DataMoments:
         self.b, self.degree, self.L1 = b, D, L1
         self._weights = np.empty((2, M - 1))
         self._memo: dict[float, np.ndarray] = {}  # alpha -> (m, l) over p = b+1..D
-        self._use(fam, None)
+        self._set_family(fam, None)
 
-    def _use(self, fam: ModulatingFamily, E: np.ndarray | None) -> None:
+    def _set_family(self, fam: ModulatingFamily, E: np.ndarray | None) -> None:
         """Set A, C and the fractional tables to fam's; E lifts the basis sums
         to fam's degree, None when it is this block's own."""
         s_c, s_r = (self.s_c, self.s_r) if E is None else (E @ self.s_c, E @ self.s_r)
@@ -178,7 +178,7 @@ class DataMoments:
             for i in range(k + 1):  # exact integers, rounded once
                 E[P, P + i] = comb(k, i) / self.L1**k
         view = copy(self)
-        view._use(fam, E)
+        view._set_family(fam, E)
         return view
 
     def _grid_moments(self, alpha: float) -> np.ndarray:
