@@ -15,10 +15,13 @@ N x L1 cells of one (noise level, seed) pair fit the same samples.  The data
 set is the unit of work, synthesized once for all of its cells.  Its cells
 at one L1 share one moment block, built for the largest swept N; each cell
 fits that block lifted to its own N, and the cells share its grid
-contraction at every alpha they have in common.  Every data
-set has the same cells, so W worker processes split them evenly by stride:
-process k runs data sets k, k + W, k + 2W, ...  The calling process is
-process 0; a pool forks the other W - 1.
+contraction at every alpha they have in common.  A process keeps one block
+alive, freeing it before the next block or data set is made.  A failed
+synthesis or block build hands its exception to the cells it stops in the
+block's place, so every failure reaches ``row.error`` one way.
+Every data set has the same cells, so W worker processes split them evenly
+by stride: process k runs data sets k, k + W, k + 2W, ...  The calling
+process is process 0; a pool forks the other W - 1.
 """
 
 from __future__ import annotations
@@ -136,11 +139,14 @@ def load_spec(path) -> ExperimentSpec:
         return spec_from_dict(yaml.safe_load(fh) or {})
 
 
-def _run_cell(spec, block: DataMoments, idx, noise, n, L1, seed) -> ResultRow:
-    """Fit one cell on the moments lifted from its data set's block at L1."""
+def _run_cell(spec, block, idx, noise, n, L1, seed) -> ResultRow:
+    """Fit one cell on the moments lifted from its data set's block at L1;
+    ``block`` is the exception instead when the synthesis or the block failed."""
     row = ResultRow(idx, noise, n, L1, seed)
     truth = spec.truth
     try:
+        if isinstance(block, Exception):
+            raise block
         mom = block.lift(build_family(n, spec.estimator.b))
         if spec.mode == "two-param":
             lin = linearize(mom, truth.alpha)
@@ -164,34 +170,26 @@ def _run_cell(spec, block: DataMoments, idx, noise, n, L1, seed) -> ResultRow:
     return row
 
 
-def _run_block(spec, ms, noise, L1, seed, cells) -> list[ResultRow]:
-    """Build the data set's moment block at L1 for the largest swept N and fit
-    the cells (idx, n) on it; the block is freed on return."""
-    try:
-        cfg = replace(spec.estimator, N=max(spec.n_list), L1=L1)
-        block = measurement_moments(ms, cfg)
-    except Exception as exc:  # every cell at this L1 records the failure
-        error = f"{type(exc).__name__}: {exc}"
-        return [ResultRow(idx, noise, n, L1, seed, error=error) for idx, n in cells]
-    return [_run_cell(spec, block, idx, noise, n, L1, seed) for idx, n in cells]
-
-
 def _run_data_set(tasks) -> list[ResultRow]:
-    """Synthesize each (noise, seed) data set in turn and run its cells on it,
-    one L1 at a time."""
+    """Synthesize each (noise, seed) data set in turn and fit its cells one L1
+    at a time, on one block for the largest swept N.  An exception from the
+    synthesis or a block build takes the block's place for the cells it stops."""
     rows = []
-    for spec, (noise, seed), cells in tasks:
+    for spec, (noise, seed), by_L1 in tasks:
+        ms = block = None  # the last data set and block are freed before this synthesis
         try:
             ms = synthesize(spec.truth, spec.grid_points, noise, seed)
-        except Exception as exc:  # every cell of this data set records the failure
-            error = f"{type(exc).__name__}: {exc}"
-            rows += [ResultRow(idx, noise, n, L1, seed, error=error) for idx, n, L1 in cells]
-            continue
-        by_L1: dict[float, list] = {}
-        for idx, n, L1 in cells:
-            by_L1.setdefault(L1, []).append((idx, n))
-        for L1, group in by_L1.items():
-            rows += _run_block(spec, ms, noise, L1, seed, group)
+        except Exception as exc:  # every cell of this data set records it
+            block = exc
+        for L1, cells in by_L1.items():
+            if ms is not None:
+                block = None  # the last block is freed before this one is built
+                try:
+                    cfg = replace(spec.estimator, N=max(spec.n_list), L1=L1)
+                    block = measurement_moments(ms, cfg)
+                except Exception as exc:  # every cell at this L1 records it
+                    block = exc
+            rows += [_run_cell(spec, block, idx, noise, n, L1, seed) for idx, n in cells]
     return rows
 
 
@@ -207,10 +205,10 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
-    groups: dict[tuple, list] = {}  # (noise, seed) -> that data set's cells
+    groups: dict[tuple, dict] = {}  # (noise, seed) -> {L1: [(idx, n)]} of that data set
     cells = list(product(spec.noise_levels, spec.n_list, spec.L1_list, spec.seeds))
     for idx, (noise, n, L1, seed) in enumerate(cells):
-        groups.setdefault((noise, seed), []).append((idx, n, L1))
+        groups.setdefault((noise, seed), {}).setdefault(L1, []).append((idx, n))
     tasks = [(spec, key, group) for key, group in groups.items()]
     cap = min(len(tasks), len(cells) * spec.grid_points // _POOL_CELL_POINTS)
     if cap > 1 and workers is None:  # macOS and Windows lack sched_getaffinity

@@ -39,8 +39,8 @@ block V[p, j] = w_j c(L1-x_j) X_p(x_j) is stored once, so each alpha costs
 one (P x M) by (M x 2) contraction, made once per exact alpha and kept.
 The x = 0 sample, where every term vanishes, is left out.
 
-One block serves every family with the same b and a lower degree
-D_N = D - k (a smaller N).  Degree elevation, multiplying by
+One block serves every family with the same b and a degree D_N = D - k
+<= D (an N up to the block's).  Degree elevation, multiplying by
 ((x + y)/L1)^k = 1, writes each basis function of degree D_N as
 
     x^p y^(D_N-p) = sum_i C(k, i) L1^-k X_(p+i),   i = 0..k,
@@ -49,7 +49,8 @@ a sum of positive terms with no cancellation (Farouki & Rajan, Comput.
 Aided Geom. Des. 5, 1988).  So s_c, s_r, m and l of such a family are one
 small matrix product of the block's (:meth:`DataMoments.lift`), and the
 families of a sweep share the block's contraction at every alpha they have
-in common.
+in common.  The block's own family is the identity lift (k = 0), exact in
+floating point, so every family's moments take the same path.
 
 Each grid contraction is one BLAS matrix product, 0.07 ms at M = 31500,
 N = 3 (2 CPUs, OpenBLAS 0.3.31).
@@ -147,38 +148,35 @@ class DataMoments:
         self.b, self.degree, self.L1 = b, D, L1
         self._weights = np.empty((2, M - 1))
         self._memo: dict[float, np.ndarray] = {}  # alpha -> (m, l) over p = b+1..D
-        self._set_family(fam, None)
+        self._set_family(fam)
 
-    def _set_family(self, fam: ModulatingFamily, E: np.ndarray | None) -> None:
-        """Set A, C and the fractional tables to fam's; E lifts the basis sums
-        to fam's degree, None when it is this block's own."""
-        s_c, s_r = (self.s_c, self.s_r) if E is None else (E @ self.s_c, E @ self.s_r)
+    def _set_family(self, fam: ModulatingFamily) -> None:
+        """Set A, C and the fractional tables to fam's, for fam with this
+        block's b and a degree D_N = D - k <= D.  E lifts the basis sums to
+        degree D_N by degree elevation (module docstring); for the block's
+        own family (k = 0) it is the identity, and exact."""
+        k = self.degree - fam.degree
+        if fam.b != self.b or k < 0:
+            raise ValueError(f"cannot lift a degree-{self.degree}, b={self.b} block to "
+                             f"N={fam.n_funcs}, b={fam.b}")
+        P = np.arange(fam.degree - fam.b + 1)
+        E = np.zeros((len(P), len(P) + k))
+        for i in range(k + 1):  # exact integers, rounded once
+            E[P, P + i] = comb(k, i) / self.L1**k
+        s_c, s_r = E @ self.s_c, E @ self.s_r
         a, e = np.array(fam.powers).T
         row = a - fam.b
         self.A = (-a * s_c[row - 1] + (e - a) * s_c[row] + e * s_c[row + 1]) / self.L1
         self.C = s_r[row]
         self.p = np.arange(fam.b + 1, fam.degree + 1, dtype=float)
         self.T = fam.table
-        self._lift = None if E is None else E[1:, 1:]
+        self._lift = E[1:, 1:]
 
     def lift(self, fam: ModulatingFamily) -> DataMoments:
-        """fam's moments from this block, for fam with the same b and a degree
-        D_N = D - k <= D.  Multiplying by ((x + y)/L1)^k = 1 writes each basis
-        function of degree D_N as sum_i C(k, i) L1^-k X_(p+i), a positive sum,
-        so every lifted sum is a small matrix product of this block's; k = 0
-        lifts nothing.  The view shares the grid sums and the alpha memo."""
-        k = self.degree - fam.degree
-        if fam.b != self.b or k < 0:
-            raise ValueError(f"cannot lift a degree-{self.degree}, b={self.b} block to "
-                             f"N={fam.n_funcs}, b={fam.b}")
-        E = None
-        if k:
-            P = np.arange(fam.degree - fam.b + 1)
-            E = np.zeros((len(P), len(P) + k))
-            for i in range(k + 1):  # exact integers, rounded once
-                E[P, P + i] = comb(k, i) / self.L1**k
+        """fam's moments lifted from this block (:meth:`_set_family`), the own
+        family's by the identity; the view shares the grid sums and alpha memo."""
         view = copy(self)
-        view._set_family(fam, E)
+        view._set_family(fam)
         return view
 
     def _grid_moments(self, alpha: float) -> np.ndarray:
@@ -199,7 +197,7 @@ class DataMoments:
         if not 1.0 < alpha <= 2.0:
             raise ValueError(f"alpha must be in (1, 2], got {alpha}")
         ml = self._grid_moments(alpha)
-        m, l = ml if self._lift is None else ml @ self._lift.T
+        m, l = ml @ self._lift.T
         g, psi = power_rule(self.p, alpha)
         q, dq = [1.0], [0.0]  # (2-alpha)_i and its alpha-derivative
         for i in range(1, self.T.shape[2]):

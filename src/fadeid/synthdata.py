@@ -34,8 +34,9 @@ class TrueModel:
     T: float = 1.0
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.nu, self.d, self.L, self.T))):
-            raise ValueError(f"nu, d, L and T must be finite, got {self}")
+        values = (self.nu, self.d, self.L, self.T)
+        if any(isinstance(v, bool) for v in values) or not all(map(math.isfinite, values)):
+            raise ValueError(f"nu, d, L and T must be finite numbers, got {self}")
         if not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha must be in (1, 2], got {self.alpha}")
         if self.L <= 0:
@@ -158,8 +159,8 @@ def from_csv(path) -> MeasurementSet:
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header}")
         body = fh.tell()
-        # skip what loadtxt skips (blank and '#' comment lines) to find a row
-        while (line := fh.readline()) and not line.split("#", 1)[0].strip():
+        # skip the lines loadtxt skips, empty once a '#' comment is cut, to find a row
+        while (line := fh.readline()) and not line.split("#", 1)[0].rstrip("\r\n"):
             pass
         if not line:
             raise ValueError(f"{path}: CSV file has a header but no data rows")

@@ -52,3 +52,52 @@ def test_one_pair_short_or_inside_the_spread_is_neither():
     # every pair lost, by less than the parent's interquartile range
     got = compare([p - 0.05 for p in PARENT], PARENT)
     assert (got["wins"], got["gain"], got["loss"]) == (0, False, False)
+
+
+def verdict(tree, parent, better="higher", bound=0.25):
+    summary = bench_record.summarize(records(tree, parent))
+    metric = {"name": "ops_per_s", "better": better, "bound": bound}
+    return bench_record.verdicts(summary, [metric])["w"]["ops_per_s"]
+
+
+@pytest.mark.parametrize("better,scale,regressed", [
+    ("higher", 0.70, True),   # median 30 % lower
+    ("higher", 0.80, False),  # 20 % lower: inside the 25 % bound
+    ("higher", 1.50, False),
+    ("lower", 1.30, True),    # median 30 % higher
+    ("lower", 1.20, False),
+    ("lower", 0.50, False),
+])
+def test_regressed_is_a_median_worse_by_more_than_the_bound(better, scale, regressed):
+    got = verdict([p * scale for p in PARENT], PARENT, better)
+    assert got == {"regressed": regressed, "unresolved": False}  # parent spread 2 %
+
+
+# a parent whose runs spread 60 % of their median
+WIDE = [100.0, 70.0, 130.0, 90.0, 110.0, 100.0, 95.0, 105.0, 100.0, 100.0]
+
+
+@pytest.mark.parametrize("better,tree,regressed,unresolved", [
+    ("higher", [p + 1.0 for p in WIDE], False, True),       # overlaps the parent's runs
+    ("higher", [131.0 + i for i in range(10)], False, False),  # beats every parent run
+    ("lower", [p - 1.0 for p in WIDE], False, True),
+    ("lower", [69.0 - i for i in range(10)], False, False),
+    ("higher", [10.0] * 10, True, True),                    # both flags at once
+])
+def test_unresolved_when_the_parent_spreads_past_the_bound(better, tree, regressed, unresolved):
+    assert verdict(tree, WIDE, better) == {"regressed": regressed, "unresolved": unresolved}
+
+
+def test_bound_is_per_metric_and_tight_bounds_flag_small_spreads():
+    # the same runs: within a 25 % bound, unresolved and regressed under 1 %
+    tree = [p * 0.98 for p in PARENT]
+    assert verdict(tree, PARENT) == {"regressed": False, "unresolved": False}
+    assert verdict(tree, PARENT, bound=0.01) == {"regressed": True, "unresolved": True}
+
+
+def test_only_metrics_both_trees_report():
+    summary = bench_record.summarize(records([1.0] * 3, [1.0] * 3))
+    metrics = [{"name": "ops_per_s", "better": "higher", "bound": 0.25},
+               {"name": "setup_s", "better": "lower", "bound": 0.25}]
+    assert bench_record.verdicts(summary, metrics) == {
+        "w": {"ops_per_s": {"regressed": False, "unresolved": False}}}

@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import time
+import weakref
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
@@ -149,6 +150,8 @@ class TestSpecConstruction:
         ({"L1_list": [True]}, "L1 must be positive"),
         ({"estimator": {"M": 2701, "max_iter": True}}, "max_iter must be an integer"),
         ({"estimator": {"M": 2701, "max_iter": False}}, "max_iter must be an integer"),
+        ({"truth": {"nu": True, "d": True, "L": 9.0}, "mode": "two-param"},
+         "nu, d, L and T must be finite numbers"),
     ])
     def test_booleans_rejected(self, data, match):
         # bool is an int subclass: True would pass as seed 1, 100 % noise or L1 = 1
@@ -319,6 +322,30 @@ class TestRun:
         assert [(r.L1, r.error) for r in rows] == [
             (9.0, ""), (5.0, "ValueError: synthetic failure")] * 2
 
+    def test_one_block_alive_at_a_time(self, monkeypatch):
+        # a weak reference to each block and to the grid sums its lifted views
+        # share: none is reachable once the next block or data set is made
+        refs, alive = [], []
+        synth, moments = expcli.synthesize, expcli.measurement_moments
+
+        def checking_synthesize(*args):
+            alive.append(sum(ref() is not None for ref in refs))
+            return synth(*args)
+
+        def checking_moments(ms, cfg):
+            alive.append(sum(ref() is not None for ref in refs))
+            block = moments(ms, cfg)
+            refs.extend([weakref.ref(block), weakref.ref(block.V)])
+            return block
+
+        monkeypatch.setattr(expcli, "synthesize", checking_synthesize)
+        monkeypatch.setattr(expcli, "measurement_moments", checking_moments)
+        spec = spec_from_dict({**FAST, "noise_levels": [0.0, 0.02], "n_list": [3, 5],
+                               "L1_list": [9.0, 5.0], "seeds": [0, 1]})
+        rows = run(spec, workers=1)
+        assert all(r.converged and not r.error for r in rows)
+        assert len(refs) == 2 * 8 and alive == [0] * (4 + 8)
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_worker_count_below_one_rejected(self, workers, tmp_path):
         with pytest.raises(ValueError, match="workers"):
@@ -422,7 +449,7 @@ class TestRun:
         monkeypatch.setattr(expcli, "Pool", SerialPool)
         monkeypatch.setattr(expcli, "synthesize", lambda *a: synthesized.append(a[2:]))
         monkeypatch.setattr(expcli, "_run_cell",
-                            lambda spec, ms, idx, *cell: ResultRow(idx, *cell))
+                            lambda spec, block, idx, *cell: ResultRow(idx, *cell))
 
         def sweep(M, n_sets, n_list=(3, 5, 7, 9, 11), L1_list=(9.0,), workers=64):
             asked.clear()
@@ -444,8 +471,10 @@ class TestRun:
         # the table1-sweep shape on 2 workers: 8 tasks of 5 cells, the odd
         # ones mapped to the pool's one process
         assert sweep(31501, 8, workers=2) == [1]
-        assert [[(seed, len(cells)) for _, (_, seed), cells in share] for share in mapped] == [
-            [(1, 5), (3, 5), (5, 5), (7, 5)]
+        # each task holds its data set's cells grouped by L1, as [(idx, n)]
+        assert [[(seed, {L1: len(cells) for L1, cells in by_L1.items()})
+                 for _, (_, seed), by_L1 in share] for share in mapped] == [
+            [(1, {9.0: 5}), (3, {9.0: 5}), (5, {9.0: 5}), (7, {9.0: 5})]
         ]
         assert sweep(31501, 8, workers=1) == []
         # the work counts, not the data sets: no pool for 8 data sets of a
@@ -663,6 +692,37 @@ class TestMain:
                    "--workers", "1", "--quiet"])
         assert rc == 1
         assert read_rows(out / "results.csv")[0].error.startswith("RuntimeError")
+
+    def test_estimate_failure_exit_code(self, tmp_path, monkeypatch, capsys):
+        def boom(*a, **k):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr(expcli, "newton_fit", boom)
+        rc = main(["estimate", "--config", str(write_cfg(tmp_path, FAST))])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err == "estimation failed: RuntimeError: synthetic failure\n"
+
+    def test_sweep_progress_and_summary(self, tmp_path, monkeypatch, capsys):
+        fit = expcli.newton_fit
+
+        def fit_by_rows(mom, cfg):  # N = 3 fits, N = 4 stops at once, N = 5 fails
+            if len(mom.C) == 5:
+                raise RuntimeError("synthetic failure")
+            return fit(mom, replace(cfg, max_iter=0) if len(mom.C) == 4 else cfg)
+
+        monkeypatch.setattr(expcli, "newton_fit", fit_by_rows)
+        cfg = write_cfg(tmp_path, {**FAST, "n_list": [3, 4, 5]})
+        out = tmp_path / "res"
+        rc = main(["sweep", "--config", str(cfg), "--out", str(out), "--workers", "1"])
+        assert rc == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "cell    0 noise=0 N=3 L1=9 seed=0: ok",
+            "cell    1 noise=0 N=4 L1=9 seed=0: not converged",
+            "cell    2 noise=0 N=5 L1=9 seed=0: RuntimeError: synthetic failure",
+            f"3 cells, 1 failed -> {out}",
+        ]
 
     def test_bad_estimate_spec_is_usage_error(self, capsys):
         rc = main(["estimate", "--noise", "-0.1"])

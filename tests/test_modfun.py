@@ -280,6 +280,7 @@ class TestLift:
                 assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_own_degree_is_not_lifted(self, table1):
+        # the block's own family takes the identity lift, which is exact
         fam = build_family(7, 3)
         block = DataMoments(fam, table1, 9.0)
         view = block.lift(fam)

@@ -1,10 +1,44 @@
 import re
+import shlex
 from pathlib import Path
+
+import pytest
+import yaml
+
+from fadeid.expcli import main, spec_from_dict
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def block(lang: str, after: str = "") -> str:
+    """The first ```lang block of README.md after the line ``after``."""
+    start = README.index(after) if after else 0
+    return re.search(rf"```{lang}\n(.*?)```", README[start:], re.DOTALL).group(1)
 
 
 def test_library_quick_start_runs(capsys):
     """README's first python block (the library quick start) runs as written."""
-    text = (Path(__file__).parents[1] / "README.md").read_text()
-    code = re.search(r"```python\n(.*?)```", text, re.DOTALL).group(1)
-    exec(compile(code, "README.md", "exec"), {})
+    exec(compile(block("python"), "README.md", "exec"), {})
     assert capsys.readouterr().out.split()[-1] == "True"  # res.converged
+
+
+def test_sweep_config_loads():
+    # loaded only: its 125 cells at M = 31501 are a study, not a test
+    spec = spec_from_dict(yaml.safe_load(block("yaml", "## Command line")))
+    assert spec.grid_points == 31501
+    assert len(spec.noise_levels) * len(spec.n_list) * len(spec.L1_list) * len(spec.seeds) == 125
+
+
+ESTIMATE_LINES = [shlex.split(line, comments=True)
+                  for line in block("sh", "## Command line").splitlines()
+                  if line.startswith("fadeid estimate")]
+
+
+@pytest.mark.parametrize("argv", ESTIMATE_LINES, ids=" ".join)
+def test_estimate_command_runs(argv, capsys):
+    assert main([*argv[1:], "--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+
+
+def test_estimate_lines_found():
+    assert ESTIMATE_LINES  # with none, the test above would be skipped, not failed

@@ -25,10 +25,24 @@ TABLE1 = TrueModel(nu=0.5, d=1.0, alpha=1.8, L=9.0, T=1.0)
 
 class TestTrueModel:
     @pytest.mark.parametrize("name", ["nu", "d", "L", "T"])
-    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    # bool is an int subclass: True would pass as nu, d, L or T = 1
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, True, False])
     def test_non_finite_parameter_rejected(self, name, value):
         with pytest.raises(ValueError, match="must be finite"):
             TrueModel(**{name: value})
+
+    @pytest.mark.parametrize("fields,match", [
+        ({"alpha": 1.0}, "alpha must be in"),
+        ({"alpha": 2.5}, "alpha must be in"),
+        ({"alpha": True}, "alpha must be in"),
+        ({"L": 0.0}, "domain length must be positive"),
+        ({"L": -9.0}, "domain length must be positive"),
+        ({"d": 0.0}, "dispersion coefficient must be positive"),
+        ({"d": -1.0}, "dispersion coefficient must be positive"),
+    ])
+    def test_out_of_range_parameter_rejected(self, fields, match):
+        with pytest.raises(ValueError, match=match):
+            TrueModel(**fields)
 
 
 class TestExactSolution:
@@ -236,7 +250,7 @@ class TestCsvRoundTrip:
 
     def test_comments_and_blanks_only_rejected(self, tmp_path):
         path = tmp_path / "comments.csv"
-        path.write_text("x,c,dcdt,r,c_noisy,dcdt_noisy\n# a note\n\n   \n# another\r\n\n")
+        path.write_text("x,c,dcdt,r,c_noisy,dcdt_noisy\n# a note\n\n#\n# another\r\n\r\n\n")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="no data rows"):
@@ -256,6 +270,19 @@ class TestCsvRoundTrip:
         back = from_csv(path)
         for name in ("x", "c", "dcdt", "r", "c_noisy", "dcdt_noisy"):
             assert np.array_equal(getattr(ms, name), getattr(back, name))
+
+    @pytest.mark.parametrize("line", ["   ", "\t", " \r", "  # note", "   #"])
+    @pytest.mark.parametrize("where", ["alone", "before rows", "between rows"])
+    def test_line_loadtxt_reads_as_a_row_rejected(self, tmp_path, line, where):
+        # a line with anything but a '#' comment is a row to loadtxt, so the
+        # "no data rows" check counts it too and loadtxt rejects it
+        rows = ["0,1,1,1,1,1", "1,1,1,1,1,1", "2,1,1,1,1,1"]
+        body = {"alone": [line], "before rows": [line, *rows],
+                "between rows": [*rows[:2], line, rows[2]]}[where]
+        path = tmp_path / "spaces.csv"
+        path.write_bytes("\n".join(["x,c,dcdt,r,c_noisy,dcdt_noisy", *body, ""]).encode())
+        with pytest.raises(ValueError, match="could not convert|number of columns changed"):
+            from_csv(path)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -21,6 +21,11 @@ direction, whether that is a gain: at least 9 in 10 pairs won, and the
 medians apart by more than the parent's interquartile range, the right way,
 and whether it is a loss by the same rule turned round: at least 9 in 10
 pairs lost, and the medians apart by more than that range the wrong way.
+Per workload and end-to-end metric it holds two verdicts, printed at the
+end: ``regressed``, the tree's median worse than the parent's by more than
+the metric's ``bound``, and ``unresolved``, the parent's runs spread wider
+than that bound, (max - min) / median, while some tree run does not beat
+every parent run.
 
 Each run also records the host's CPU steal over the run (``steal_ticks``,
 from the aggregate ``cpu`` line of /proc/stat, in ``clk_tck`` units) and the
@@ -155,6 +160,30 @@ def paired_wins(runs: list[dict], summary: dict, better: dict[str, str]) -> dict
     return wins
 
 
+def verdicts(summary: dict, end_to_end: list[dict]) -> dict:
+    """{workload: {metric: {regressed, unresolved}}} for each end-to-end
+    metric of BENCHMARK.json that both trees report.  ``regressed``: the
+    tree's median is worse than the parent's by more than the metric's
+    ``bound``, a fraction of the parent's median.  ``unresolved``: the
+    parent's runs spread, (max - min) / median, wider than that bound and not
+    every tree run beats every parent run, so the record cannot tell a change
+    of that size from noise."""
+    out: dict = {}
+    for w, trees in summary.items():
+        for m in end_to_end:
+            tree = trees.get("tree", {}).get(m["name"])
+            parent = trees.get("parent", {}).get(m["name"])
+            if tree is None or parent is None:
+                continue
+            sign = 1 if m["better"] == "higher" else -1
+            limit = m["bound"] * abs(parent["median"])
+            beats = tree["min"] > parent["max"] if sign > 0 else tree["max"] < parent["min"]
+            out.setdefault(w, {})[m["name"]] = {
+                "regressed": sign * (parent["median"] - tree["median"]) > limit,
+                "unresolved": parent["max"] - parent["min"] > limit and not beats}
+    return out
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -201,7 +230,12 @@ def main(argv=None) -> int:
                 data["summary"] = summarize(runs)
                 if args.parent:
                     data["wins"] = paired_wins(runs, data["summary"], better)
+                    data["verdicts"] = verdicts(data["summary"], bench["end_to_end"])
                 Path(args.out).write_text(json.dumps(data, indent=1) + "\n")
+    for w, metrics in data.get("verdicts", {}).items():
+        for name, flags in metrics.items():
+            flagged = [flag for flag, on in flags.items() if on]
+            print(f"{w} {name}: {' and '.join(flagged) or 'within bound'}", file=sys.stderr)
     return 0 if all((r["result"] or {}).get("correct") for r in runs) else 1
 
 
