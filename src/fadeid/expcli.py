@@ -139,7 +139,7 @@ def load_spec(path) -> ExperimentSpec:
         return spec_from_dict(yaml.safe_load(fh) or {})
 
 
-def _run_cell(spec, block, idx, noise, n, L1, seed) -> ResultRow:
+def _run_cell(spec, block: DataMoments | Exception, idx, noise, n, L1, seed) -> ResultRow:
     """Fit one cell on the moments lifted from its data set's block at L1;
     ``block`` is the exception instead when the synthesis or the block failed."""
     row = ResultRow(idx, noise, n, L1, seed)
