@@ -23,9 +23,11 @@ Only B and G depend on alpha.  The measurements are reduced once per
 estimate to a :class:`~fadeid.modfun.DataMoments` (A, C and the alpha-free
 moment block) by :func:`measurement_moments`, which reads only the measured
 channels on [0, L1]; the MeasurementSet checked the grid when it was built.
-:func:`newton_fit` is the one Gauss-Newton loop on given moments:
-:func:`newton_estimate` runs it on config's own block, and a sweep runs it on
-views that ``DataMoments.lift`` makes of one block per data set and L1.
+:func:`newton_fit` is the one Gauss-Newton loop on given moments, from a
+starting order alpha0 for at most MAX_ITER steps: :func:`newton_estimate` runs
+it on config's own block, and a sweep runs it on views that
+``DataMoments.lift`` makes of one block per data set and L1.  It needs N >= 3
+rows; two-parameter fits (:func:`linearize`) work from N = 2.
 :func:`linearize` is the one Stage-1 routine: at a given alpha it forms
 (B, G) with one small matrix product and takes one SVD of [A B], which
 solves both the Stage-1 system and the derivative system of Proposition 1
@@ -35,7 +37,6 @@ solves both the Stage-1 system and the derivative system of Proposition 1
 from __future__ import annotations
 
 from dataclasses import dataclass
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -75,6 +76,8 @@ class Linearization(NamedTuple):
 STEP_CLAMP = 0.2
 #: an alpha step below this ends Stage 2 as converged
 ALPHA_TOL = 1e-6
+#: Gauss-Newton steps before Stage 2 stops, not converged
+MAX_ITER = 50
 
 
 @dataclass
@@ -89,19 +92,13 @@ class EstimatorConfig:
     N: int = 3
     b: int = 3
     alpha0: float = 1.4
-    max_iter: int = 50
 
     def __post_init__(self):
         if not 1.0 < self.alpha0 <= 2.0:
             raise ValueError(f"alpha0 must be in (1, 2], got {self.alpha0}")
         if isinstance(self.L1, bool) or not (np.isfinite(self.L1) and self.L1 > 0):
             raise ValueError(f"L1 must be positive and finite, got {self.L1}")
-        if not all(isinstance(v, Integral) and v >= 2 for v in (self.N, self.b)):
-            raise ValueError(f"N and b must be integers >= 2, got N={self.N!r}, b={self.b!r}")
-        if isinstance(self.max_iter, bool) or not (
-            isinstance(self.max_iter, Integral) and self.max_iter >= 0
-        ):
-            raise ValueError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
+        build_family(self.N, self.b)  # the (N, b) rule, cached
 
 
 class EstimateResult(NamedTuple):
@@ -110,8 +107,6 @@ class EstimateResult(NamedTuple):
     alpha: float
     iterations: list[IterationRecord]
     converged: bool
-    residual_final: float
-    cond_estimate: float
     message: str
 
 
@@ -157,33 +152,37 @@ def estimate_two_param(
 def newton_estimate(ms: MeasurementSet, config: EstimatorConfig) -> EstimateResult:
     """Full two-stage iteration for (nu, d, alpha): config's moments of the
     measurements on [0, L1], built once, then :func:`newton_fit` on them."""
-    return newton_fit(measurement_moments(ms, config), config)
+    return newton_fit(measurement_moments(ms, config), config.alpha0)
 
 
-def newton_fit(mom: DataMoments, config: EstimatorConfig) -> EstimateResult:
-    """Stage 2 on given moments, from config.alpha0 for at most config.max_iter steps.
+def newton_fit(mom: DataMoments, alpha0: float) -> EstimateResult:
+    """Stage 2 on given moments, from alpha0 for at most MAX_ITER steps.
 
     Each iterate calls :func:`linearize` at the current alpha, then takes a
     clamped scalar Gauss-Newton step dalpha = <K', U - K> / <K', K'>
     projected into (1 + 1e-6, 2].  Stops when the alpha step falls below
-    ALPHA_TOL (converged, stationary point), or at max_iter (flagged not
-    converged), and returns the last iterate with its J = ||K - U||^2.
+    ALPHA_TOL (converged, stationary point), or at MAX_ITER (flagged not
+    converged), and returns the last iterate, whose J = ||K - U||^2 is
+    ``iterations[-1].residual``.  Fewer than 3 rows raise ValueError: the
+    Stage-1 system is then square, so K' = 0 in exact arithmetic.
     <K', K'> at or below 1e-30 <U, U> raises GradientDegenerateError; both
     scale alike with the length unit, so the test does not depend on it.
     """
     U = mom.C
+    if len(U) < 3:
+        raise ValueError(f"a three-parameter fit needs N >= 3, got N={len(U)}")
 
-    alpha = float(config.alpha0)
+    alpha = float(alpha0)
     history: list[IterationRecord] = []
     message = ""
     converged = False
 
-    for k in range(config.max_iter + 1):
+    for k in range(MAX_ITER + 1):
         lin = linearize(mom, alpha)
         J = float(np.sum((lin.K - U) ** 2))
         history.append(IterationRecord(alpha, J, lin.nu, lin.d))
-        if k == config.max_iter:
-            message = f"max_iter={config.max_iter} reached"
+        if k == MAX_ITER:
+            message = f"max_iter={MAX_ITER} reached"
             break
 
         denom = float(lin.Kp @ lin.Kp)
@@ -206,7 +205,5 @@ def newton_fit(mom: DataMoments, config: EstimatorConfig) -> EstimateResult:
         alpha=alpha,
         iterations=history,
         converged=converged,
-        residual_final=J,
-        cond_estimate=lin.cond,
         message=message,
     )

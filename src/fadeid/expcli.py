@@ -153,7 +153,7 @@ def _run_cell(spec, block: DataMoments | Exception, idx, noise, n, L1, seed) -> 
             row.est_nu, row.est_d, row.est_alpha = lin.nu, lin.d, truth.alpha
             row.converged = True
         else:
-            res = newton_fit(mom, spec.estimator)
+            res = newton_fit(mom, spec.estimator.alpha0)
             row.est_nu, row.est_d, row.est_alpha = res.nu, res.d, res.alpha
             row.iterations = len(res.iterations)
             row.converged = res.converged

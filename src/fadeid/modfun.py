@@ -62,6 +62,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, isfinite, perm
+from numbers import Integral
 
 import numpy as np
 
@@ -85,17 +86,16 @@ class ModulatingFamily:
         return self.n_funcs + 2 * self.b + 1
 
 
-@lru_cache(maxsize=16)
+# typed: untyped, 3.0 == 3 would be a cache hit and skip the check below
+@lru_cache(maxsize=16, typed=True)
 def build_family(N: int, b: int) -> ModulatingFamily:
     """Construct the N-member polynomial modulating family.
 
     Cached: callers with the same (N, b) get the same family, so its table
     is read-only.
     """
-    if N < 2:
-        raise ValueError(f"need at least 2 modulating functions, got N={N}")
-    if b < 2:
-        raise ValueError(f"order offset b must be >= 2, got b={b}")
+    if not all(isinstance(v, Integral) and v >= 2 for v in (N, b)):
+        raise ValueError(f"N and b must be integers >= 2, got N={N!r}, b={b!r}")
     powers = []
     T = np.zeros((N, N + b + 1, N + b + 1))
     for n in range(1, N + 1):

@@ -101,3 +101,33 @@ def test_only_metrics_both_trees_report():
                {"name": "setup_s", "better": "lower", "bound": 0.25}]
     assert bench_record.verdicts(summary, metrics) == {
         "w": {"ops_per_s": {"regressed": False, "unresolved": False}}}
+
+
+def paired_verdict(tree, parent, better="higher"):
+    runs = records(tree, parent)
+    summary = bench_record.summarize(runs)
+    wins = bench_record.paired_wins(runs, summary, {"ops_per_s": better})
+    metric = {"name": "ops_per_s", "better": better, "bound": 0.25}
+    return bench_record.verdicts(summary, [metric], wins)["w"]["ops_per_s"]
+
+
+@pytest.mark.parametrize("better", ["higher", "lower"])
+def test_pair_for_pair_ties_are_resolved(better):
+    # the same seed-paired error means on both trees: their spread is the
+    # seeds', not noise, and no pair is worse
+    assert verdict(WIDE, WIDE, better) == {"regressed": False, "unresolved": True}
+    assert paired_verdict(WIDE, WIDE, better) == {"regressed": False, "unresolved": False}
+
+
+@pytest.mark.parametrize("better,step", [("higher", 1.0), ("lower", -1.0)])
+def test_no_pair_lost_is_resolved_one_pair_lost_is_not(better, step):
+    tree = [p + step for p in WIDE]  # better in every pair, inside the parent's spread
+    assert paired_verdict(tree, WIDE, better) == {"regressed": False, "unresolved": False}
+    tree[3] = WIDE[3] - step  # one pair worse
+    assert paired_verdict(tree, WIDE, better) == {"regressed": False, "unresolved": True}
+
+
+def test_paired_wins_counts_losses():
+    tree = [p + 1.0 for p in PARENT[:7]] + PARENT[7:9] + [PARENT[9] - 1.0]
+    got = compare(tree, PARENT)
+    assert (got["wins"], got["losses"], got["pairs"]) == (7, 1, 10)

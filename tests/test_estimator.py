@@ -2,14 +2,17 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+from fadeid import estimator
 from fadeid.synthdata import TrueModel, synthesize
 from fadeid.estimator import (
     EstimatorConfig,
+    GradientDegenerateError,
     RankDeficientError,
     measurement_moments,
     linearize,
     estimate_two_param,
     newton_estimate,
+    newton_fit,
 )
 
 CANONICAL = TrueModel(nu=0.2, d=1.0, alpha=1.8, L=9.0, T=1.0)
@@ -264,20 +267,40 @@ class TestNewtonEstimate:
         assert abs(res.d - 1.0) <= 2e-2
         assert abs(res.alpha - 1.8) / 1.8 <= 2e-2
 
-    def test_max_iter_flagged(self):
+    def test_max_iter_flagged(self, monkeypatch):
+        monkeypatch.setattr(estimator, "MAX_ITER", 0)
         ms = synthesize(TABLE1, 4501)
-        res = newton_estimate(ms, EstimatorConfig(L1=9.0, N=3, b=3, alpha0=1.4, max_iter=0))
+        res = newton_estimate(ms, EstimatorConfig(L1=9.0, N=3, b=3, alpha0=1.4))
         assert not res.converged
         assert "max_iter" in res.message
         assert len(res.iterations) == 1
+
+    @pytest.mark.parametrize("L1", [9.0, 5.0, 3.0, 2.0])
+    def test_two_rows_rejected_before_the_first_step(self, L1):
+        # two rows fit (nu, d) exactly at every alpha, so K' = 0 in exact
+        # arithmetic and what a step did would rest on rounding
+        ms = synthesize(TABLE1, 2701)
+        cfg = EstimatorConfig(L1=L1, N=2)
+        with pytest.raises(ValueError, match="needs N >= 3"):
+            newton_estimate(ms, cfg)
+        nu, d, _ = estimate_two_param(ms, cfg, 1.8)  # Stage 1 alone keeps N = 2
+        assert abs(nu - 0.5) / 0.5 <= 1e-5 and abs(d - 1.0) <= 2e-5
+
+    def test_vanishing_gradient_raises(self):
+        # G = 3 B lies in range([A B]): the derivative system gives
+        # (dnu, dd) = (0, -3d), so K' = dd B + d G = 0; axis-aligned
+        # columns keep every product exact
+        cols = Columns(A=[2.0, 0.0, 0.0], B=[0.0, 1.0, 0.0], C=[1.0, 0.5, 0.25],
+                       G=[0.0, 3.0, 0.0])
+        with pytest.raises(GradientDegenerateError, match="<K', K'> = 0.000e\\+00"):
+            newton_fit(cols, 1.4)
 
     def test_history_recorded(self):
         ms = synthesize(TABLE1, 13501)
         res = newton_estimate(ms, EstimatorConfig(L1=9.0, N=3, b=3, alpha0=1.4))
         assert res.iterations[0].alpha == pytest.approx(1.4)
         assert all(np.isfinite(it.residual) for it in res.iterations)
-        assert res.residual_final == min(it.residual for it in res.iterations)
-        assert res.residual_final == res.iterations[-1].residual
+        assert res.iterations[-1].residual == min(it.residual for it in res.iterations)
         last = res.iterations[-1]
         assert (res.alpha, res.nu, res.d) == (last.alpha, last.nu, last.d)
 
@@ -366,15 +389,15 @@ class TestConfigValidation:
             {"alpha0": 1.0},
             {"alpha0": 2.3},
             {"L1": 0.0},
-            {"max_iter": -1},
+            {"N": True},
             {"L1": float("nan")},
             {"L1": float("inf")},
             {"N": 1},
             {"N": 3.0},
             {"b": 1},
             {"b": "3"},
-            {"max_iter": 2.5},
-            {"max_iter": "3"},
+            {"b": 3.0},
+            {"N": np.float64(3.0)},
         ],
     )
     def test_invalid_config(self, kwargs):

@@ -148,8 +148,8 @@ class TestSpecConstruction:
         ({"seeds": [0, True]}, "seeds must be integers"),
         ({"noise_levels": [True]}, "noise levels must be finite"),
         ({"L1_list": [True]}, "L1 must be positive"),
-        ({"estimator": {"M": 2701, "max_iter": True}}, "max_iter must be an integer"),
-        ({"estimator": {"M": 2701, "max_iter": False}}, "max_iter must be an integer"),
+        ({"n_list": [True]}, "N and b must be integers"),
+        ({"estimator": {"M": 2701, "b": True}}, "N and b must be integers"),
         ({"truth": {"nu": True, "d": True, "L": 9.0}, "mode": "two-param"},
          "nu, d, L and T must be finite numbers"),
     ])
@@ -252,9 +252,19 @@ class TestRun:
                 lin = linearize(mom, spec.truth.alpha)
                 nu, d, alpha = lin.nu, lin.d, spec.truth.alpha
             else:
-                res = newton_fit(mom, cfg)
+                res = newton_fit(mom, cfg.alpha0)
                 nu, d, alpha = res.nu, res.d, res.alpha
             assert (r.est_nu, r.est_d, r.est_alpha) == (nu, d, alpha)
+
+    @pytest.mark.parametrize("mode,error", [
+        ("three-param", "ValueError: a three-parameter fit needs N >= 3, got N=2"),
+        ("two-param", ""),
+    ])
+    def test_two_row_cell(self, mode, error):
+        spec = spec_from_dict({**FAST, "mode": mode, "n_list": [2, 3]})
+        two, three = run(spec, workers=1)
+        assert (two.error, three.error) == (error, "")
+        assert two.converged == (error == "") and three.converged
 
     @pytest.mark.parametrize("L1", [9.0, 5.0])
     def test_lifted_cells_match_single_fits(self, L1):
@@ -277,7 +287,8 @@ class TestRun:
         block = measurement_moments(ms, EstimatorConfig(N=11))
         for n in (3, 5, 7, 9):
             cfg = EstimatorConfig(N=n, alpha0=1.4)
-            lifted, lone = newton_fit(block.lift(build_family(n, 3)), cfg), newton_estimate(ms, cfg)
+            lifted = newton_fit(block.lift(build_family(n, 3)), cfg.alpha0)
+            lone = newton_estimate(ms, cfg)
             assert (lifted.nu, lifted.d, lifted.alpha) == pytest.approx(
                 (lone.nu, lone.d, lone.alpha), rel=1e-10, abs=0)
             assert len(lifted.iterations) == len(lone.iterations)
@@ -707,10 +718,11 @@ class TestMain:
     def test_sweep_progress_and_summary(self, tmp_path, monkeypatch, capsys):
         fit = expcli.newton_fit
 
-        def fit_by_rows(mom, cfg):  # N = 3 fits, N = 4 stops at once, N = 5 fails
+        def fit_by_rows(mom, alpha0):  # N = 3 fits, N = 4 does not converge, N = 5 fails
             if len(mom.C) == 5:
                 raise RuntimeError("synthetic failure")
-            return fit(mom, replace(cfg, max_iter=0) if len(mom.C) == 4 else cfg)
+            res = fit(mom, alpha0)
+            return res._replace(converged=False) if len(mom.C) == 4 else res
 
         monkeypatch.setattr(expcli, "newton_fit", fit_by_rows)
         cfg = write_cfg(tmp_path, {**FAST, "n_list": [3, 4, 5]})

@@ -48,9 +48,10 @@ class TestBuildFamily:
         assert abs(d2(0.0)) <= 1e-13 * scale
         assert abs(d2(9.0)) <= 1e-13 * scale
 
-    @pytest.mark.parametrize("args", [(1, 3), (3, 1)])
+    @pytest.mark.parametrize("args", [(1, 3), (3, 1), (3.0, 3), ("3", 3), (True, 3)])
     def test_invalid_parameters(self, args):
-        with pytest.raises(ValueError):
+        build_family(3, 3)  # a cached N = 3 family must not answer for N = 3.0
+        with pytest.raises(ValueError, match=r"N and b must be integers >= 2, got N="):
             build_family(*args)
 
     def test_factored_powers_recorded(self, fam):

@@ -1,10 +1,12 @@
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 import yaml
 
+from fadeid.estimator import EstimatorConfig
 from fadeid.expcli import main, spec_from_dict
 
 README = (Path(__file__).parents[1] / "README.md").read_text()
@@ -42,3 +44,10 @@ def test_estimate_command_runs(argv, capsys):
 
 def test_estimate_lines_found():
     assert ESTIMATE_LINES  # with none, the test above would be skipped, not failed
+
+
+def test_knob_sentence_names_every_config_field():
+    """The "`EstimatorConfig` knobs:" sentence names exactly its fields, in order."""
+    sentence = README.split("`EstimatorConfig` knobs:")[1].split(". ")[0]
+    named = re.findall(r"`(\w+)`", re.sub(r"\([^)]*\)", "", sentence))
+    assert named == [f.name for f in fields(EstimatorConfig)]

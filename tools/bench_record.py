@@ -25,7 +25,9 @@ Per workload and end-to-end metric it holds two verdicts, printed at the
 end: ``regressed``, the tree's median worse than the parent's by more than
 the metric's ``bound``, and ``unresolved``, the parent's runs spread wider
 than that bound, (max - min) / median, while some tree run does not beat
-every parent run.
+every parent run and the tree is worse than the parent in some pair.  A
+metric that ties pair for pair, as seed-paired error means of two trees
+with the same estimates do, is resolved however far its seeds spread.
 
 Each run also records the host's CPU steal over the run (``steal_ticks``,
 from the aggregate ``cpu`` line of /proc/stat, in ``clk_tck`` units) and the
@@ -132,11 +134,12 @@ def summarize(runs: list[dict]) -> dict:
 
 
 def paired_wins(runs: list[dict], summary: dict, better: dict[str, str]) -> dict:
-    """{workload: {metric: {wins, pairs, gain, loss}}}: the pairs whose tree
-    run beat the parent's by ``better[metric]`` ("higher" or "lower"); ``gain``
-    holds when wins >= 0.9 * pairs and the medians differ, the better way, by
-    more than the parent's interquartile range; ``loss`` when the tree lost
-    that many pairs and the medians differ by that much the worse way."""
+    """{workload: {metric: {wins, losses, pairs, gain, loss}}}: the pairs
+    whose tree run beat, or lost to, the parent's by ``better[metric]``
+    ("higher" or "lower"); ``gain`` holds when wins >= 0.9 * pairs and the
+    medians differ, the better way, by more than the parent's interquartile
+    range; ``loss`` when the tree lost that many pairs and the medians differ
+    by that much the worse way."""
     sign = {name: 1 if way == "higher" else -1 for name, way in better.items()}
     pairs: dict = {}
     for r in runs:
@@ -154,20 +157,21 @@ def paired_wins(runs: list[dict], summary: dict, better: dict[str, str]) -> dict
         iqr = parent["q3"] - parent["q1"]
         won, lost = sum(d > 0 for d in diffs), sum(d < 0 for d in diffs)
         wins.setdefault(w, {})[name] = {
-            "wins": won, "pairs": len(diffs),
+            "wins": won, "losses": lost, "pairs": len(diffs),
             "gain": won >= 0.9 * len(diffs) and gap > iqr,
             "loss": lost >= 0.9 * len(diffs) and -gap > iqr}
     return wins
 
 
-def verdicts(summary: dict, end_to_end: list[dict]) -> dict:
+def verdicts(summary: dict, end_to_end: list[dict], wins: dict | None = None) -> dict:
     """{workload: {metric: {regressed, unresolved}}} for each end-to-end
     metric of BENCHMARK.json that both trees report.  ``regressed``: the
     tree's median is worse than the parent's by more than the metric's
     ``bound``, a fraction of the parent's median.  ``unresolved``: the
-    parent's runs spread, (max - min) / median, wider than that bound and not
-    every tree run beats every parent run, so the record cannot tell a change
-    of that size from noise."""
+    parent's runs spread, (max - min) / median, wider than that bound, not
+    every tree run beats every parent run and, given ``wins`` from
+    :func:`paired_wins`, the tree lost at least one pair, so the record
+    cannot tell a change of that size from noise."""
     out: dict = {}
     for w, trees in summary.items():
         for m in end_to_end:
@@ -178,9 +182,12 @@ def verdicts(summary: dict, end_to_end: list[dict]) -> dict:
             sign = 1 if m["better"] == "higher" else -1
             limit = m["bound"] * abs(parent["median"])
             beats = tree["min"] > parent["max"] if sign > 0 else tree["max"] < parent["min"]
+            paired = (wins or {}).get(w, {}).get(m["name"])
+            no_pair_lost = paired is not None and paired["losses"] == 0
             out.setdefault(w, {})[m["name"]] = {
                 "regressed": sign * (parent["median"] - tree["median"]) > limit,
-                "unresolved": parent["max"] - parent["min"] > limit and not beats}
+                "unresolved": parent["max"] - parent["min"] > limit
+                and not (beats or no_pair_lost)}
     return out
 
 
@@ -230,7 +237,7 @@ def main(argv=None) -> int:
                 data["summary"] = summarize(runs)
                 if args.parent:
                     data["wins"] = paired_wins(runs, data["summary"], better)
-                    data["verdicts"] = verdicts(data["summary"], bench["end_to_end"])
+                    data["verdicts"] = verdicts(data["summary"], bench["end_to_end"], data["wins"])
                 Path(args.out).write_text(json.dumps(data, indent=1) + "\n")
     for w, metrics in data.get("verdicts", {}).items():
         for name, flags in metrics.items():
