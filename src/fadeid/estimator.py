@@ -23,11 +23,9 @@ Only B and G depend on alpha.  The measurements are reduced once per
 estimate to a :class:`~fadeid.modfun.DataMoments` (A, C and the alpha-free
 moment block) by :func:`measurement_moments`, which reads only the measured
 channels on [0, L1]; the MeasurementSet checked the grid when it was built.
-:func:`newton_fit` is the one Gauss-Newton loop on given moments, from a
-starting order alpha0 for at most MAX_ITER steps: :func:`newton_estimate` runs
-it on config's own block, and a sweep runs it on views that
-``DataMoments.lift`` makes of one block per data set and L1.  It needs N >= 3
-rows; two-parameter fits (:func:`linearize`) work from N = 2.
+:func:`newton_fit` is the one Gauss-Newton loop on given moments, from alpha0:
+:func:`newton_estimate` runs it on config's own block, and a sweep runs it on
+views that ``DataMoments.lift`` makes of one block per data set and L1.
 :func:`linearize` is the one Stage-1 routine: at a given alpha it forms
 (B, G) with one small matrix product and takes one SVD of [A B], which
 solves both the Stage-1 system and the derivative system of Proposition 1
