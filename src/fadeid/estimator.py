@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .modfun import DataMoments, build_family
+from .modfun import DataMoments, GridBasis, build_family
 from .synthdata import MeasurementSet
 
 
@@ -108,10 +108,12 @@ class EstimateResult(NamedTuple):
     message: str
 
 
-def measurement_moments(ms: MeasurementSet, config: EstimatorConfig) -> DataMoments:
+def measurement_moments(ms: MeasurementSet, config: EstimatorConfig,
+                        basis: GridBasis | None = None) -> DataMoments:
     """The moments of config's family against the measured channels on
-    [0, L1], L1 snapped to the nearest node."""
-    return DataMoments(build_family(config.N, config.b), ms, config.L1)
+    [0, L1], L1 snapped to the nearest node; on the donor ``basis`` when it
+    serves that grid and family, else on a basis of their own."""
+    return DataMoments(build_family(config.N, config.b), ms, config.L1, basis)
 
 
 def linearize(mom: DataMoments, alpha: float) -> Linearization:

@@ -12,16 +12,19 @@ Configuration is a YAML file with nested sections mirroring
 
 A sweep's data set depends only on (truth, grid, noise level, seed), so the
 N x L1 cells of one (noise level, seed) pair fit the same samples.  The data
-set is the unit of work, synthesized once for all of its cells.  Its cells
-at one L1 share one moment block, built for the largest swept N; each cell
-fits that block lifted to its own N, and the cells share its grid
-contraction at every alpha they have in common.  A process keeps one block
-alive, freeing it before the next block or data set is made.  A failed
-synthesis or block build hands its exception to the cells it stops in the
-block's place, so every failure reaches ``row.error`` one way.
+set is the unit of work, made once for all of its cells: a process
+synthesizes the noise-free profile once and adds each data set's noise to
+it.  A data set's cells at one L1 share one moment block, built for the
+largest swept N; each cell fits that block lifted to its own N, and the
+cells share its grid contraction at every alpha they have in common.  The
+blocks at one L1 share one grid basis, built once per process.  A process
+keeps one block alive, freeing it before the next block or data set is
+made.  A failed synthesis or block build hands its exception to the cells it
+stops in the block's place, so every failure reaches ``row.error`` one way.
 Every data set has the same cells, so W worker processes split them evenly
 by stride: process k runs data sets k, k + W, k + 2W, ...  The calling
-process is process 0; a pool forks the other W - 1.
+process is process 0; it starts the other W - 1, and each sends its rows
+back over a one-way pipe.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import os
 import sys
 from dataclasses import dataclass, asdict, replace, field
 from itertools import product
-from multiprocessing import Pool
+from multiprocessing import Pipe, Process
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -42,12 +45,16 @@ import yaml
 from . import __version__
 from .estimator import EstimatorConfig, linearize, measurement_moments, newton_fit
 from .modfun import DataMoments, build_family, snap_node
-from .synthdata import TrueModel, synthesize
+from .synthdata import TrueModel, add_noise, synthesize
 
 MODES = ("two-param", "three-param")
+#: libyaml's safe loader and dumper where PyYAML was built with it
+_YAML_LOADER, _YAML_DUMPER = ((yaml.CSafeLoader, yaml.CSafeDumper) if yaml.__with_libyaml__
+                              else (yaml.SafeLoader, yaml.SafeDumper))
 #: cells x grid points per worker: on 2 CPUs, 2/3/4/8 Table-1 data sets
-#: (5 cells at M = 31501) took 46/69/77/165 ms serially, 55/81/70/129 ms on
-#: the calling process and one pool process
+#: (5 cells at M = 31501) took 20/30/36/73 ms serially, 22/27/32/52 ms on the
+#: calling process and one started process (medians of 15 fresh processes);
+#: 3 data sets gain too little over the spread of their runs
 _POOL_CELL_POINTS = 2 * 5 * 31501
 
 
@@ -136,7 +143,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
 
 def load_spec(path) -> ExperimentSpec:
     with open(path) as fh:
-        return spec_from_dict(yaml.safe_load(fh) or {})
+        return spec_from_dict(yaml.load(fh, Loader=_YAML_LOADER) or {})
 
 
 def _run_cell(spec, block: DataMoments | Exception, idx, noise, n, L1, seed) -> ResultRow:
@@ -171,14 +178,18 @@ def _run_cell(spec, block: DataMoments | Exception, idx, noise, n, L1, seed) -> 
 
 
 def _run_data_set(tasks) -> list[ResultRow]:
-    """Synthesize each (noise, seed) data set in turn and fit its cells one L1
-    at a time, on one block for the largest swept N.  An exception from the
-    synthesis or a block build takes the block's place for the cells it stops."""
-    rows = []
+    """Fit each (noise, seed) data set's cells in turn, one L1 at a time, on
+    one block for the largest swept N.  The noise-free profile is synthesized
+    once and each data set adds its noise to it; the blocks at one L1 share
+    one grid basis.  An exception from the synthesis, the noise or a block
+    build takes the block's place for the cells it stops."""
+    rows, clean, bases = [], None, {}
     for spec, (noise, seed), by_L1 in tasks:
-        ms = block = None  # the last data set and block are freed before this synthesis
+        ms = block = None  # the last data set and block are freed before this one is made
         try:
-            ms = synthesize(spec.truth, spec.grid_points, noise, seed)
+            if clean is None:
+                clean = synthesize(spec.truth, spec.grid_points)
+            ms = add_noise(clean, noise, seed)
         except Exception as exc:  # every cell of this data set records it
             block = exc
         for L1, cells in by_L1.items():
@@ -186,11 +197,18 @@ def _run_data_set(tasks) -> list[ResultRow]:
                 block = None  # the last block is freed before this one is built
                 try:
                     cfg = replace(spec.estimator, N=max(spec.n_list), L1=L1)
-                    block = measurement_moments(ms, cfg)
+                    block = measurement_moments(ms, cfg, bases.get(L1))
+                    bases[L1] = block.basis
                 except Exception as exc:  # every cell at this L1 records it
                     block = exc
             rows += [_run_cell(spec, block, idx, noise, n, L1, seed) for idx, n in cells]
     return rows
+
+
+def _send_rows(writer, tasks) -> None:
+    """A worker process's body: fit its data sets, send their rows back."""
+    with writer:
+        writer.send(_run_data_set(tasks))
 
 
 def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
@@ -200,8 +218,10 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
     serially unless at least 2 workers are allowed: at most ``workers``
     (default: the CPUs this process may run on, else all CPUs), one per task
     and one per ``_POOL_CELL_POINTS``.  Worker k runs ``tasks[k::workers]``:
-    the calling process is worker 0, a pool forks the rest and is terminated
-    when the sweep ends or is interrupted.  Rows come back in product order.
+    the calling process is worker 0 and starts the rest as processes, each
+    sending its rows back over a one-way pipe.  A worker that exits without
+    sending raises RuntimeError; workers still running when the sweep ends
+    or is interrupted are terminated.  Rows come back in product order.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -215,13 +235,28 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
         affinity = getattr(os, "sched_getaffinity", None)
         workers = len(affinity(0)) if affinity else os.cpu_count() or 1
     workers = min(workers, cap) if cap > 1 else 1
-    if workers > 1:
-        with Pool(workers - 1) as pool:
-            strides = [tasks[k::workers] for k in range(1, workers)]
-            pooled = pool.map_async(_run_data_set, strides, chunksize=1)
-            parts = [_run_data_set(tasks[::workers]), *pooled.get()]
-    else:
-        parts = [_run_data_set(tasks)]
+    children = []  # (process, the read end of its pipe)
+    try:
+        for k in range(1, workers):
+            reader, writer = Pipe(duplex=False)
+            child = Process(target=_send_rows, args=(writer, tasks[k::workers]), daemon=True)
+            children.append((child, reader))
+            child.start()
+            writer.close()  # the child holds the only write end: EOF once it exits
+        parts = [_run_data_set(tasks[::workers])]
+        for child, reader in children:
+            try:
+                parts.append(reader.recv())
+            except EOFError:
+                child.join()
+                raise RuntimeError(f"worker process exited with code {child.exitcode} "
+                                   "before sending its rows") from None
+    finally:
+        for child, reader in children:
+            if child.is_alive():  # the sweep was interrupted or another worker failed
+                child.terminate()
+            child.join()
+            reader.close()
     return sorted((r for part in parts for r in part), key=lambda r: r.cell_index)
 
 
@@ -247,7 +282,7 @@ def write_manifest(spec: ExperimentSpec, path) -> None:
     data = {"fadeid_version": __version__, **asdict(spec)}
     del data["estimator"]["N"], data["estimator"]["L1"]  # swept: n_list, L1_list
     with open(path, "w") as fh:
-        yaml.safe_dump(data, fh, sort_keys=False)
+        yaml.dump(data, fh, Dumper=_YAML_DUMPER, sort_keys=False)
 
 
 def emit_plotdata(rows: list[ResultRow], outdir) -> list[Path]:
@@ -385,10 +420,10 @@ def main(argv=None) -> int:
     p_sw.add_argument("--out", help="output directory (overrides spec)")
     p_sw.add_argument("--seed", type=int, default=0, help="offset added to every spec seed")
     p_sw.add_argument("--workers", type=_worker_count, default=None,
-                      help="cap on the processes that fit cells, this one included (default: "
-                      "the CPUs this process may run on); at most one per data set and per "
-                      f"{_POOL_CELL_POINTS} cells x grid points; the data sets are dealt to "
-                      "them in turn, so each runs an equal share")
+                      help="cap on the processes that fit cells: this one, and the ones it "
+                      "starts (default: the CPUs this process may run on); at most one per "
+                      f"data set and per {_POOL_CELL_POINTS} cells x grid points; the data sets "
+                      "are dealt to them in turn, so each runs an equal share")
     p_sw.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
     p_sw.set_defaults(func=_cmd_sweep, spec=_sweep_spec)
 

@@ -34,10 +34,13 @@ with r = p-i-a and g_p = Gamma(p+1)/Gamma(p+1-alpha).  T depends only on
 
     m_p = sum_j w_j x_j^(p-alpha) y_j^(D-p) c(L1-x_j),   l_p = the same with a ln(x_j) factor,
 
-B = Q (g m) and G = Q' (g m) + Q (psi g m - g l), Q' = dQ/dalpha.  The
-block V[p, j] = w_j c(L1-x_j) X_p(x_j) is stored once, so each alpha costs
-one (P x M) by (M x 2) contraction, made once per exact alpha and kept.
-The x = 0 sample, where every term vanishes, is left out.
+B = Q (g m) and G = Q' (g m) + Q (psi g m - g l), Q' = dQ/dalpha.  X_p(x_j)
+and ln x_j depend only on the grid and (b, D), not on the data: a
+:class:`GridBasis` holds them, and blocks on equal grid samples share one.
+A block keeps its own weights w_j c(L1-x_j), so each alpha costs the rows
+[w x^-alpha ; w x^-alpha ln x] and one (2 x M) by (M x P) contraction
+against the shared X, made once per exact alpha and kept.  The x = 0
+sample, where every term vanishes, is left out.
 
 One block serves every family with the same b and a degree D_N = D - k
 <= D (an N up to the block's).  Degree elevation, multiplying by
@@ -52,8 +55,9 @@ families of a sweep share the block's contraction at every alpha they have
 in common.  The block's own family is the identity lift (k = 0), exact in
 floating point, so every family's moments take the same path.
 
-Each grid contraction is one BLAS matrix product, 0.07 ms at M = 31500,
-N = 3 (2 CPUs, OpenBLAS 0.3.31).
+Each grid contraction is one BLAS matrix product, 0.08 ms at M = 31500,
+N = 3 and 0.16 ms at N = 11; with the two weight rows, 0.19 and 0.23 ms
+(medians of 200 alphas; 2 CPUs, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -117,36 +121,53 @@ def snap_node(L1: float, span: float, M: int) -> int:
     return int(round(steps))
 
 
+class GridBasis:
+    """What a block needs of its grid alone: log x_j and
+    X[p - b, j] = x_j^p (L1 - x_j)^(D-p), p = b..D, on the nodes x_1..x_(M-1)
+    of a grid x_0 = 0 .. x_(M-1) = L1.  Blocks with the same (b, D) on equal
+    grid samples share one (:meth:`serves`); X is read-only."""
+
+    def __init__(self, x: np.ndarray, b: int, D: int):
+        self.x, self.b, self.degree = x, b, D
+        xp = x[1:]
+        self.log_x = np.log(xp)
+        X = np.empty((D - b + 1, len(xp)))
+        np.exp(D * self.log_x, out=X[-1])
+        ratio = (x[-1] - xp) / xp
+        for i in range(D - b, 0, -1):
+            np.multiply(X[i], ratio, out=X[i - 1])
+        X.flags.writeable = False
+        self.X = X
+
+    def serves(self, x: np.ndarray, b: int, D: int) -> bool:
+        return (b, D) == (self.b, self.degree) and np.array_equal(x, self.x)
+
+
 class DataMoments:
     """The family integrated against c = c_noisy and rhs = dcdt_noisy - r on
     [0, L1], L1 snapped to a node: A and C, and B(alpha), G(alpha) on demand.
 
-    The grid sums (s_c, s_r, V) serve every family with the same b and a
-    degree up to this one's: :meth:`lift` returns such a family's moments,
-    sharing them and the per-alpha memo of the grid contraction."""
+    A block reuses the donor ``basis`` when it serves the block's grid and
+    (b, D), else builds its own.  The weights w_j c(L1 - x_j), the sums s_c
+    and s_r and the basis serve every family with the same b and a degree up
+    to this one's: :meth:`lift` returns such a family's moments, sharing them
+    and the per-alpha memo of the grid contraction."""
 
-    def __init__(self, fam: ModulatingFamily, ms: MeasurementSet, L1: float):
+    def __init__(self, fam: ModulatingFamily, ms: MeasurementSet, L1: float,
+                 basis: GridBasis | None = None):
         M = snap_node(L1, ms.x[-1], len(ms.x)) + 1
         x, c, rhs = ms.x[:M], ms.c_noisy[:M], ms.dcdt_noisy[:M] - ms.r[:M]
-        L1, dx = x[-1], x[1] - x[0]
+        b, D = fam.b, fam.degree
+        if basis is None or not basis.serves(x, b, D):
+            basis = GridBasis(x, b, D)
 
         # w_j c(L1 - x_j) and w_j rhs(L1 - x_j) for j >= 1
-        W = dx * np.stack([c[-2::-1], rhs[-2::-1]])
+        W = (x[1] - x[0]) * np.stack([c[-2::-1], rhs[-2::-1]])
         W[:, -1] *= 0.5
-        xp = x[1:]
-        self.log_x = np.log(xp)
-        b, D = fam.b, fam.degree
-        X = np.empty((D - b + 1, M - 1))  # X[p - b, j] = x_j^p (L1 - x_j)^(D-p)
-        np.exp(D * self.log_x, out=X[-1])
-        ratio = (L1 - xp) / xp
-        for i in range(D - b, 0, -1):
-            np.multiply(X[i], ratio, out=X[i - 1])
-        self.s_c, self.s_r = W @ X.T  # over p = b..D
-
-        X *= W[0]
-        self.V = X[1:]  # V[p - b - 1, j] = w_j c(L1 - x_j) x_j^p (L1 - x_j)^(D-p)
-        self.b, self.degree, self.L1 = b, D, L1
-        self._weights = np.empty((2, M - 1))
+        self.s_c, self.s_r = W @ basis.X.T  # over p = b..D
+        self.w = W[0].copy()
+        self.basis, self.b, self.degree, self.L1 = basis, b, D, x[-1]
+        self._weights = W  # scratch for _grid_moments
         self._memo: dict[float, np.ndarray] = {}  # alpha -> (m, l) over p = b+1..D
         self._set_family(fam)
 
@@ -184,10 +205,11 @@ class DataMoments:
         made once per exact alpha and kept."""
         ml = self._memo.get(alpha)
         if ml is None:
-            W = self._weights
-            np.exp(np.multiply(self.log_x, -alpha, out=W[0]), out=W[0])  # x^-alpha
-            np.multiply(W[0], self.log_x, out=W[1])
-            ml = self._memo[alpha] = W @ self.V.T
+            W, log_x = self._weights, self.basis.log_x
+            np.exp(np.multiply(log_x, -alpha, out=W[0]), out=W[0])  # x^-alpha
+            W[0] *= self.w
+            np.multiply(W[0], log_x, out=W[1])
+            ml = self._memo[alpha] = W @ self.basis.X[1:].T
             ml.flags.writeable = False
         return ml
 

@@ -227,8 +227,8 @@ class TestMeasurementMoments:
         ms = synthesize(CANONICAL, 91)  # dx = 0.1
         mom = measurement_moments(ms, EstimatorConfig(L1=4.96, N=3))
         # ln of the integrated nodes, x = 0 left out
-        assert np.exp(mom.log_x[-1]) == pytest.approx(5.0)
-        assert len(mom.log_x) + 1 == 51
+        assert np.exp(mom.basis.log_x[-1]) == pytest.approx(5.0)
+        assert len(mom.basis.log_x) + 1 == 51
 
     def test_L1_beyond_grid_rejected(self):
         ms = synthesize(CANONICAL, 91)

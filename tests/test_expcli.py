@@ -7,13 +7,12 @@ import weakref
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
-from types import SimpleNamespace
 from typing import get_type_hints
 
 import pytest
 import yaml
 
-from fadeid import expcli
+from fadeid import expcli, modfun
 from fadeid.estimator import (
     EstimatorConfig,
     linearize,
@@ -66,12 +65,18 @@ def _seeds(tasks) -> list[int]:
 
 
 def _run_data_set_here(tasks):
-    # module level, so that a pool can pickle it by name
+    # a forked worker inherits expcli._run_data_set patched to this
     if multiprocessing.parent_process() is None:  # the calling process
         _RAN_HERE.append(_seeds(tasks))
     else:  # a child's list is its own copy: it leaves a mark named by the seeds
         (_CHILD_MARKS / " ".join(map(str, _seeds(tasks)))).touch()
     return _run_data_set(tasks)
+
+
+def _exits_in_child(tasks):
+    if multiprocessing.parent_process() is None:  # the calling process
+        return _run_data_set(tasks)
+    os._exit(3)  # a worker that dies before it sends its rows
 
 
 def _child_shares(marks) -> list[list[int]]:
@@ -219,22 +224,61 @@ class TestRun:
         )
         assert all(r.error == "" for r in rows)
 
-    def test_each_data_set_synthesized_once(self, monkeypatch):
-        calls = []
-        synth = expcli.synthesize
+    def test_each_data_set_synthesized_once(self, monkeypatch, tmp_path):
+        # one noise-free synthesis per process, then one add_noise per data set;
+        # each call appends a line to a file, so the children's calls count too
+        synth, noise = expcli.synthesize, expcli.add_noise
 
-        def counting_synthesize(truth, M, noise_level, seed):
-            calls.append((noise_level, seed))
-            return synth(truth, M, noise_level, seed)
+        def counting_synthesize(*args):
+            with open(tmp_path / "synthesized", "a") as fh:
+                print(os.getpid(), file=fh)
+            return synth(*args)
+
+        def counting_add_noise(clean, level, seed):
+            with open(tmp_path / "noised", "a") as fh:
+                print(level, seed, file=fh)
+            return noise(clean, level, seed)
 
         monkeypatch.setattr(expcli, "synthesize", counting_synthesize)
+        monkeypatch.setattr(expcli, "add_noise", counting_add_noise)
+        monkeypatch.setattr(expcli, "_POOL_CELL_POINTS", 1)
         spec = spec_from_dict({
             **FAST, "mode": "two-param", "noise_levels": [0.0, 0.02],
             "n_list": [3, 5, 7], "L1_list": [9.0, 5.0], "seeds": [0, 1],
         })
+        for workers in (1, 2):
+            for name in ("synthesized", "noised"):
+                (tmp_path / name).unlink(missing_ok=True)
+            rows = run(spec, workers=workers)
+            assert len(rows) == 24 and all(r.error == "" for r in rows)
+            pids = (tmp_path / "synthesized").read_text().split()
+            assert len(pids) == len(set(pids)) == workers
+            assert sorted((tmp_path / "noised").read_text().splitlines()) == [
+                "0.0 0", "0.0 1", "0.02 0", "0.02 1"]
+
+    def test_one_basis_per_L1(self, monkeypatch):
+        # 4 data sets x 2 L1: 8 blocks on 2 grid bases, each built once
+        bases, blocks = [], []
+        moments = expcli.measurement_moments
+
+        class CountingBasis(modfun.GridBasis):
+            def __init__(self, *args):
+                bases.append(self)
+                super().__init__(*args)
+
+        def counting_moments(ms, cfg, basis):
+            block = moments(ms, cfg, basis)
+            blocks.append(block)
+            return block
+
+        monkeypatch.setattr(modfun, "GridBasis", CountingBasis)
+        monkeypatch.setattr(expcli, "measurement_moments", counting_moments)
+        spec = spec_from_dict({**FAST, "mode": "two-param", "noise_levels": [0.0, 0.02],
+                               "n_list": [3, 5], "L1_list": [9.0, 5.0], "seeds": [0, 1]})
         rows = run(spec, workers=1)
-        assert len(rows) == 24 and all(r.error == "" for r in rows)
-        assert sorted(calls) == [(0.0, 0), (0.0, 1), (0.02, 0), (0.02, 1)]
+        assert all(r.converged and not r.error for r in rows)
+        assert len(bases) == 2 and len(blocks) == 8
+        assert [block.basis for block in blocks] == bases * 4
 
     @pytest.mark.parametrize("mode", ["two-param", "three-param"])
     def test_rows_match_fresh_synthesis(self, mode):
@@ -298,9 +342,9 @@ class TestRun:
         blocks, evaluated, contracted = [], [], []
         moments, grid = expcli.measurement_moments, DataMoments._grid_moments
 
-        def counting_moments(ms, cfg):
+        def counting_moments(ms, cfg, basis):
             blocks.append((cfg.N, cfg.L1))
-            return moments(ms, cfg)
+            return moments(ms, cfg, basis)
 
         def counting_grid(self, alpha):
             evaluated.append(alpha)
@@ -321,10 +365,10 @@ class TestRun:
     def test_block_failure_recorded_per_cell_at_its_L1(self, monkeypatch):
         moments = expcli.measurement_moments
 
-        def failing_moments(ms, cfg):
+        def failing_moments(ms, cfg, basis):
             if cfg.L1 == 5.0:
                 raise ValueError("synthetic failure")
-            return moments(ms, cfg)
+            return moments(ms, cfg, basis)
 
         monkeypatch.setattr(expcli, "measurement_moments", failing_moments)
         spec = spec_from_dict({**FAST, "mode": "two-param", "n_list": [3, 5],
@@ -334,22 +378,22 @@ class TestRun:
             (9.0, ""), (5.0, "ValueError: synthetic failure")] * 2
 
     def test_one_block_alive_at_a_time(self, monkeypatch):
-        # a weak reference to each block and to the grid sums its lifted views
+        # a weak reference to each block and to the weights its lifted views
         # share: none is reachable once the next block or data set is made
         refs, alive = [], []
-        synth, moments = expcli.synthesize, expcli.measurement_moments
+        noise, moments = expcli.add_noise, expcli.measurement_moments
 
-        def checking_synthesize(*args):
+        def checking_add_noise(*args):
             alive.append(sum(ref() is not None for ref in refs))
-            return synth(*args)
+            return noise(*args)
 
-        def checking_moments(ms, cfg):
+        def checking_moments(ms, cfg, basis):
             alive.append(sum(ref() is not None for ref in refs))
-            block = moments(ms, cfg)
-            refs.extend([weakref.ref(block), weakref.ref(block.V)])
+            block = moments(ms, cfg, basis)
+            refs.extend([weakref.ref(block), weakref.ref(block.w)])
             return block
 
-        monkeypatch.setattr(expcli, "synthesize", checking_synthesize)
+        monkeypatch.setattr(expcli, "add_noise", checking_add_noise)
         monkeypatch.setattr(expcli, "measurement_moments", checking_moments)
         spec = spec_from_dict({**FAST, "noise_levels": [0.0, 0.02], "n_list": [3, 5],
                                "L1_list": [9.0, 5.0], "seeds": [0, 1]})
@@ -369,36 +413,50 @@ class TestRun:
         assert not (tmp_path / "res").exists()
 
     def test_parallel_matches_serial(self, monkeypatch):
-        asked = []
-        pool = expcli.Pool
+        started = []
+        process = expcli.Process
 
-        def recording_pool(processes):
-            asked.append(processes)
-            return pool(processes)
+        def counted_run(spec, workers):  # the rows, and the processes run() started
+            started.clear()
+            rows = run(spec, workers)
+            return rows, len(started)
 
-        # a real pool of one worker per data set, however little work a cell is
-        monkeypatch.setattr(expcli, "Pool", recording_pool)
+        def recording_process(**kwargs):
+            started.append(kwargs["args"][1])
+            return process(**kwargs)
+
+        # real worker processes, one per data set, however little work a cell is
+        monkeypatch.setattr(expcli, "Process", recording_process)
         monkeypatch.setattr(expcli, "_POOL_CELL_POINTS", 1)
         spec = spec_from_dict(
             {**FAST, "mode": "two-param", "seeds": [0, 1], "noise_levels": [0.0, 0.02]}
         )
         serial = run(spec, workers=1)
         for workers in (2, 4):
-            assert serial == run(spec, workers)  # dataclass equality, bit-exact floats
+            # dataclass equality, bit-exact floats; the calling process is
+            # one of the workers and starts the rest
+            assert counted_run(spec, workers) == (serial, workers - 1)
         # three-param at the Table-1 grid, where the moment products are large
-        # enough for OpenBLAS to thread: pooled rows are still the same floats
+        # enough for OpenBLAS to thread: a worker's rows are still the same floats
         spec = spec_from_dict({**FAST, "estimator": {"M": 31501, "alpha0": 1.4}, "seeds": [0, 1],
                                "noise_levels": [0.0, 0.02], "n_list": [3, 7]})
         serial = run(spec, workers=1)
         assert all(r.converged and not r.error for r in serial)
         for workers in (2, 4):
-            assert serial == run(spec, workers)
-        # the calling process is one of the workers: the pool forks the rest
-        assert asked == [1, 3, 1, 3]
+            assert counted_run(spec, workers) == (serial, workers - 1)
 
-    def test_calling_process_works_and_reaps_its_pool(self, monkeypatch, tmp_path):
-        # the pool runs the other strides, one share per call; the conftest
-        # fixture checks that no pool process outlives run()
+    def test_child_that_exits_without_rows_raises(self, monkeypatch, tmp_path):
+        # the conftest fixture checks that no worker outlives run()
+        monkeypatch.setattr(expcli, "_run_data_set", _exits_in_child)
+        monkeypatch.setattr(expcli, "_POOL_CELL_POINTS", 1)
+        spec = spec_from_dict({**FAST, "mode": "two-param", "seeds": list(range(4))})
+        for workers in (2, 4):
+            with pytest.raises(RuntimeError, match="exited with code 3 before sending its rows"):
+                run(spec, workers)
+
+    def test_calling_process_works_and_reaps_its_workers(self, monkeypatch, tmp_path):
+        # each started process runs one other stride; the conftest fixture
+        # checks that no worker outlives run()
         monkeypatch.setattr(expcli, "_run_data_set", _run_data_set_here)
         monkeypatch.setattr(expcli, "_POOL_CELL_POINTS", 1)
         monkeypatch.setitem(globals(), "_RAN_HERE", [])
@@ -437,69 +495,67 @@ class TestRun:
         started = sorted(int(mark.name) for mark in tmp_path.iterdir())
         assert started == [1, 3, 5, 7][:len(started)] and len(started) < 4
 
-    def test_pool_sized_by_cell_points(self, monkeypatch):
-        asked, mapped, synthesized = [], [], []
+    def test_workers_sized_by_cell_points(self, monkeypatch):
+        started, noised = [], []
 
-        class SerialPool:  # starts no process: each share runs when mapped
-            def __init__(self, processes):
-                asked.append(processes)
-                mapped.clear()
+        class SerialProcess:  # starts no process: its share runs when started
+            def __init__(self, target, args, daemon):
+                started.append(args[1])
+                self.target, self.args = target, args
 
-            def __enter__(self):
-                return self
+            def start(self):
+                self.target(*self.args)
 
-            def __exit__(self, *exc):
+            def is_alive(self):
                 return False
 
-            def map_async(self, fn, shares, chunksize):
-                assert chunksize == 1
-                mapped.extend(shares)
-                rows = [fn(share) for share in shares]
-                return SimpleNamespace(get=lambda: rows)
+            def join(self):
+                pass
 
-        monkeypatch.setattr(expcli, "Pool", SerialPool)
-        monkeypatch.setattr(expcli, "synthesize", lambda *a: synthesized.append(a[2:]))
+        monkeypatch.setattr(expcli, "Process", SerialProcess)
+        monkeypatch.setattr(expcli, "synthesize", lambda *a: None)
+        monkeypatch.setattr(expcli, "add_noise", lambda clean, *a: noised.append(a))
         monkeypatch.setattr(expcli, "_run_cell",
                             lambda spec, block, idx, *cell: ResultRow(idx, *cell))
 
         def sweep(M, n_sets, n_list=(3, 5, 7, 9, 11), L1_list=(9.0,), workers=64):
-            asked.clear()
-            synthesized.clear()
+            started.clear()
+            noised.clear()
             lists = {"noise_levels": [0.02], "n_list": list(n_list), "L1_list": list(L1_list),
                      "seeds": list(range(n_sets))}
             rows = run(spec_from_dict({**FAST, "estimator": {"M": M}, **lists}), workers)
-            assert sorted(synthesized) == [(0.02, seed) for seed in range(n_sets)]  # once each
+            assert sorted(noised) == [(0.02, seed) for seed in range(n_sets)]  # once each
             assert [(r.noise_level, r.n_funcs, r.L1, r.seed) for r in rows] == list(
                 product(*lists.values())
             )
             assert [r.cell_index for r in rows] == list(range(len(rows)))
-            return asked[:]
+            return len(started)
 
         # Table-1 data sets (5 cells at M = 31501): one worker per two of them,
-        # the calling process and a pool of the rest
-        for n_sets, pool in [(1, []), (3, []), (4, [1]), (5, [1]), (8, [3])]:
-            assert sweep(31501, n_sets) == pool
+        # the calling process and a started process for each of the rest
+        for n_sets, children in [(1, 0), (3, 0), (4, 1), (5, 1), (8, 3)]:
+            assert sweep(31501, n_sets) == children
         # the table1-sweep shape on 2 workers: 8 tasks of 5 cells, the odd
-        # ones mapped to the pool's one process
-        assert sweep(31501, 8, workers=2) == [1]
+        # ones run by the one started process
+        assert sweep(31501, 8, workers=2) == 1
         # each task holds its data set's cells grouped by L1, as [(idx, n)]
         assert [[(seed, {L1: len(cells) for L1, cells in by_L1.items()})
-                 for _, (_, seed), by_L1 in share] for share in mapped] == [
+                 for _, (_, seed), by_L1 in share] for share in started] == [
             [(1, {9.0: 5}), (3, {9.0: 5}), (5, {9.0: 5}), (7, {9.0: 5})]
         ]
-        assert sweep(31501, 8, workers=1) == []
-        # the work counts, not the data sets: no pool for 8 data sets of a
+        assert sweep(31501, 8, workers=1) == 0
+        # the work counts, not the data sets: one worker for 8 data sets of a
         # smaller grid or of one cell each, two workers for 2 data sets of 30
-        assert sweep(4501, 8) == []
-        assert sweep(31501, 8, n_list=[3]) == []
-        assert sweep(31501, 2, n_list=range(3, 22, 2), L1_list=[9.0, 7.0, 5.0]) == [1]
-        # a sweep too small for a pool does not ask how many CPUs there are
+        assert sweep(4501, 8) == 0
+        assert sweep(31501, 8, n_list=[3]) == 0
+        assert sweep(31501, 2, n_list=range(3, 22, 2), L1_list=[9.0, 7.0, 5.0]) == 1
+        # a sweep too small for two workers does not ask how many CPUs there are
         monkeypatch.delattr(expcli.os, "sched_getaffinity")
-        assert sweep(31501, 1, workers=None) == []
+        assert sweep(31501, 1, workers=None) == 0
         # without an affinity call (macOS, Windows) the default is os.cpu_count()
         for cpus in (3, 64):
             monkeypatch.setattr(expcli.os, "cpu_count", lambda: cpus)
-            assert sweep(31501, 8, workers=None) == [min(os.cpu_count(), 4) - 1]
+            assert sweep(31501, 8, workers=None) == min(os.cpu_count(), 4) - 1
 
     def test_failure_recorded_not_raised(self, monkeypatch):
         def boom(*a, **k):
@@ -513,19 +569,28 @@ class TestRun:
         assert math.isnan(rows[0].est_nu)
 
     def test_synthesis_failure_recorded_per_cell(self, monkeypatch):
-        synth = expcli.synthesize
+        noise = expcli.add_noise
 
-        def failing_synthesize(truth, M, noise_level, seed):
+        def failing_add_noise(clean, level, seed):
             if seed == 1:
                 raise ValueError("synthetic failure")
-            return synth(truth, M, noise_level, seed)
+            return noise(clean, level, seed)
 
-        monkeypatch.setattr(expcli, "synthesize", failing_synthesize)
+        monkeypatch.setattr(expcli, "add_noise", failing_add_noise)
         spec = spec_from_dict({**FAST, "mode": "two-param", "noise_levels": [0.02],
                                "n_list": [3, 5], "seeds": [1, 0]})
         rows = run(spec, workers=1)
         assert [r.error.startswith("ValueError") for r in rows] == [True, False, True, False]
         assert [r.converged for r in rows] == [False, True, False, True]
+
+    def test_clean_synthesis_failure_recorded_per_cell(self, monkeypatch):
+        def failing_synthesize(*args):
+            raise ValueError("synthetic failure")
+
+        monkeypatch.setattr(expcli, "synthesize", failing_synthesize)
+        spec = spec_from_dict({**FAST, "mode": "two-param", "n_list": [3, 5], "seeds": [1, 0]})
+        rows = run(spec, workers=1)
+        assert [r.error for r in rows] == ["ValueError: synthetic failure"] * 4
 
 
 class TestRowsCsv:
@@ -597,6 +662,20 @@ class TestManifestAndPlotdata:
         assert data["grid_points"] == 2701
         assert data["mode"] == "three-param"
         assert "fadeid_version" in data
+
+    def test_manifest_bytes_same_with_either_dumper(self, tmp_path, monkeypatch):
+        if not yaml.__with_libyaml__:
+            pytest.skip("PyYAML was built without libyaml")
+        spec = spec_from_dict({**FAST, "noise_levels": [0.0, 0.02, 1e-7], "n_list": [5, 7],
+                               "L1_list": [9.0, 0.05], "seeds": [3, 4],
+                               "output_dir": "out dir/ü: 'x'"})
+        written = []
+        for dumper in (yaml.SafeDumper, yaml.CSafeDumper):
+            monkeypatch.setattr(expcli, "_YAML_DUMPER", dumper)
+            write_manifest(spec, tmp_path / "manifest.yaml")
+            written.append((tmp_path / "manifest.yaml").read_bytes())
+        assert written[0] == written[1]
+        assert load_spec(tmp_path / "manifest.yaml") == spec
 
     def test_manifest_loads_back(self, tmp_path):
         spec = spec_from_dict({**FAST, "noise_levels": [0.0, 0.02], "n_list": [5, 7],
@@ -802,6 +881,22 @@ class TestMain:
         assert captured.err.count("\n") == 1
         if key is not None:
             assert key in captured.err
+        assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("loader", [yaml.SafeLoader, getattr(yaml, "CSafeLoader", None)],
+                             ids=["python", "libyaml"])
+    @pytest.mark.parametrize("text", ["estimator: {M: 2701\nmode: [\n", "\tseeds: [0]\n"])
+    def test_malformed_spec_is_usage_error_with_either_loader(self, loader, text, tmp_path,
+                                                              monkeypatch, capsys):
+        if loader is None:
+            pytest.skip("PyYAML was built without libyaml")
+        monkeypatch.setattr(expcli, "_YAML_LOADER", loader)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(text)
+        rc = main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "res")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("fadeid sweep: error: ") and captured.err.count("\n") == 1
         assert not (tmp_path / "res").exists()
 
     def test_negative_shifted_seed_is_usage_error(self, tmp_path, capsys):

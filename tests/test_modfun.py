@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import Polynomial
 from scipy.integrate import trapezoid
 
-from fadeid.modfun import DataMoments, build_family
+from fadeid.modfun import DataMoments, GridBasis, build_family
 from fadeid.selftest import members, sampled
 from fadeid.synthdata import TrueModel, synthesize
 
@@ -258,6 +258,45 @@ class TestFractionalIntegrationByParts:
             left = trapezoid(member(Polynomial([L1, -1.0]))(x) * df, dx=dx)
             right = trapezoid(rl_reference(member, alpha, x)[0] * f(L1 - x), dx=dx)
             assert abs(left - right) <= 1e-4 * abs(right)
+
+
+class TestDonorBasis:
+    """A block reuses a donor grid basis only for its own grid and (b, D)."""
+
+    @staticmethod
+    def same_moments(a, b):
+        pairs = [(a.A, b.A), (a.C, b.C), (a.s_c, b.s_c), (a.s_r, b.s_r)]
+        for alpha in (1.3, 1.8):
+            pairs += zip(a.fractional_columns(alpha), b.fractional_columns(alpha))
+        return all(np.array_equal(got, ref) for got, ref in pairs)
+
+    @pytest.mark.parametrize("L1", [9.0, 5.0])
+    def test_same_grid_reused_and_exact(self, L1):
+        donor = DataMoments(build_family(7, 3), synthesize(TABLE1, 2701), L1).basis
+        ms = synthesize(TABLE1, 2701, noise_level=0.02, seed=4)
+        shared = DataMoments(build_family(7, 3), ms, L1, donor)
+        assert shared.basis is donor
+        assert self.same_moments(shared, DataMoments(build_family(7, 3), ms, L1))
+
+    @pytest.mark.parametrize("truth,M,L1,N,b", [
+        (TABLE1, 2701, 5.0, 7, 3),              # another interval on the same grid
+        (TrueModel(L=8.0), 2701, 8.0, 7, 3),    # as many samples on another domain
+        (TABLE1, 2703, 9.0, 7, 3),              # another M on the same domain
+        (TABLE1, 2701, 9.0, 5, 3),              # another degree
+        (TABLE1, 2701, 9.0, 5, 4),              # another b, the same degree
+    ], ids=["other-L1", "other-L", "other-M", "other-N", "other-b"])
+    def test_other_grid_or_family_not_reused(self, truth, M, L1, N, b):
+        donor = DataMoments(build_family(7, 3), synthesize(TABLE1, 2701), 9.0).basis
+        ms = synthesize(truth, M, noise_level=0.02, seed=4)
+        fam = build_family(N, b)
+        block = DataMoments(fam, ms, L1, donor)
+        assert block.basis is not donor
+        assert block.basis.serves(ms.x[:len(block.basis.x)], b, fam.degree)
+        assert self.same_moments(block, DataMoments(fam, ms, L1))
+
+    def test_basis_read_only(self):
+        basis = GridBasis(np.linspace(0.0, 9.0, 91), 3, 10)
+        assert basis.X.shape == (8, 90) and not basis.X.flags.writeable
 
 
 class TestLift:

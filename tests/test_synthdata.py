@@ -119,6 +119,14 @@ class TestNoise:
         b = synthesize(CANONICAL, 501, noise_level=0.03, seed=2)
         assert not np.array_equal(a.c_noisy, b.c_noisy)
 
+    @pytest.mark.parametrize("level,seed", [(0.0, 0), (0.02, 0), (0.02, 7), (0.1, 3)])
+    def test_noise_on_a_clean_set_is_synthesis_with_noise(self, level, seed):
+        # a sweep adds each data set's noise to one clean synthesis
+        got = add_noise(synthesize(CANONICAL, 501), level, seed)
+        want = synthesize(CANONICAL, 501, level, seed)
+        for name in ("x", "c", "dcdt", "r", "c_noisy", "dcdt_noisy"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
     def test_clean_channels_preserved(self):
         clean = synthesize(CANONICAL, 501)
         noisy = add_noise(clean, 0.05, seed=0)
