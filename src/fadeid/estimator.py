@@ -108,12 +108,10 @@ class EstimateResult(NamedTuple):
     message: str
 
 
-def measurement_moments(ms: MeasurementSet, config: EstimatorConfig,
-                        basis: GridBasis | None = None) -> DataMoments:
+def measurement_moments(ms: MeasurementSet, config: EstimatorConfig) -> DataMoments:
     """The moments of config's family against the measured channels on
-    [0, L1], L1 snapped to the nearest node; on the donor ``basis`` when it
-    serves that grid and family, else on a basis of their own."""
-    return DataMoments(build_family(config.N, config.b), ms, config.L1, basis)
+    [0, L1], L1 snapped to the nearest node, on a grid basis of their own."""
+    return DataMoments(ms, GridBasis(ms.x, config.L1, build_family(config.N, config.b)))
 
 
 def linearize(mom: DataMoments, alpha: float) -> Linearization:
@@ -160,8 +158,9 @@ def newton_fit(mom: DataMoments, alpha0: float) -> EstimateResult:
 
     Each iterate calls :func:`linearize` at the current alpha, then takes a
     clamped scalar Gauss-Newton step dalpha = <K', U - K> / <K', K'>
-    projected into (1 + 1e-6, 2].  Stops when the alpha step falls below
-    ALPHA_TOL (converged, stationary point), or at MAX_ITER (flagged not
+    projected into [1 + 1e-6, 2].  Stops when the projected step falls below
+    ALPHA_TOL (converged: at a stationary point, or held at a bound against
+    a larger outward step, as the message says), or at MAX_ITER (flagged not
     converged), and returns the last iterate, whose J = ||K - U||^2 is
     ``iterations[-1].residual``.  Fewer than 3 rows raise ValueError: the
     Stage-1 system is then square, so K' = 0 in exact arithmetic.
@@ -195,7 +194,10 @@ def newton_fit(mom: DataMoments, alpha0: float) -> EstimateResult:
         new_alpha = float(np.clip(alpha + step, 1.0 + 1e-6, 2.0))
         if abs(new_alpha - alpha) < ALPHA_TOL:
             converged = True
-            message = f"alpha step stagnated below {ALPHA_TOL:.1e} (stationary point)"
+            if abs(step) < ALPHA_TOL:
+                message = f"alpha step stagnated below {ALPHA_TOL:.1e} (stationary point)"
+            else:  # the projection, not the step, stopped alpha
+                message = f"alpha held at its bound {new_alpha:.7g} against a step of {step:+.3e}"
             break
         alpha = new_alpha
 

@@ -43,8 +43,8 @@ from pathlib import Path
 import yaml
 
 from . import __version__
-from .estimator import EstimatorConfig, linearize, measurement_moments, newton_fit
-from .modfun import DataMoments, build_family, snap_node
+from .estimator import EstimatorConfig, linearize, newton_fit
+from .modfun import DataMoments, GridBasis, build_family, snap_node
 from .synthdata import TrueModel, add_noise, synthesize
 
 MODES = ("two-param", "three-param")
@@ -93,7 +93,7 @@ class ExperimentSpec:
             self.grid_points = int(round(self.truth.L * 1500)) + 1
         if not (isinstance(self.grid_points, Integral) and self.grid_points >= 3):
             raise ValueError(f"grid_points must be an integer >= 3, got {self.grid_points!r}")
-        for L1 in self.L1_list:  # the node DataMoments will snap L1 to
+        for L1 in self.L1_list:  # the node GridBasis will snap L1 to
             snap_node(L1, float(self.truth.L), self.grid_points)
 
 
@@ -196,9 +196,10 @@ def _run_data_set(tasks) -> list[ResultRow]:
             if ms is not None:
                 block = None  # the last block is freed before this one is built
                 try:
-                    cfg = replace(spec.estimator, N=max(spec.n_list), L1=L1)
-                    block = measurement_moments(ms, cfg, bases.get(L1))
-                    bases[L1] = block.basis
+                    if L1 not in bases:
+                        fam = build_family(max(spec.n_list), spec.estimator.b)
+                        bases[L1] = GridBasis(ms.x, L1, fam)
+                    block = DataMoments(ms, bases[L1])
                 except Exception as exc:  # every cell at this L1 records it
                     block = exc
             rows += [_run_cell(spec, block, idx, noise, n, L1, seed) for idx, n in cells]

@@ -10,7 +10,8 @@ is cached per (N, b); its table is read-only.
 
 :class:`DataMoments` integrates a family against a MeasurementSet, whose
 grid is uniform from 0, on [0, L1] (L1 snapped to a node) by the trapezoid
-rule (weights w_j).  With y = L1 - x, every a_n + e_n is D = N+2b+1, so all
+rule (weights w_j); the :class:`GridBasis` it is given fixes the family, L1
+and the nodes.  With y = L1 - x, every a_n + e_n is D = N+2b+1, so all
 columns are sums over one basis shared by the members, X_p = x^p y^(D-p)
 for p = b..D.  No member is expanded in monomials, whose alternating sums
 cancel more as N grows; each coefficient below has at most three terms.  Lifting -phi_n' to degree D by (x + y)/L1 = 1 gives
@@ -35,8 +36,8 @@ with r = p-i-a and g_p = Gamma(p+1)/Gamma(p+1-alpha).  T depends only on
     m_p = sum_j w_j x_j^(p-alpha) y_j^(D-p) c(L1-x_j),   l_p = the same with a ln(x_j) factor,
 
 B = Q (g m) and G = Q' (g m) + Q (psi g m - g l), Q' = dQ/dalpha.  X_p(x_j)
-and ln x_j depend only on the grid and (b, D), not on the data: a
-:class:`GridBasis` holds them, and blocks on equal grid samples share one.
+and ln x_j depend only on the nodes and (b, D), not on the data: a
+:class:`GridBasis` holds them, and every block built on it shares them.
 A block keeps its own weights w_j c(L1-x_j), so each alpha costs the rows
 [w x^-alpha ; w x^-alpha ln x] and one (2 x M) by (M x P) contraction
 against the shared X, made once per exact alpha and kept.  The x = 0
@@ -122,72 +123,68 @@ def snap_node(L1: float, span: float, M: int) -> int:
 
 
 class GridBasis:
-    """What a block needs of its grid alone: log x_j and
-    X[p - b, j] = x_j^p (L1 - x_j)^(D-p), p = b..D, on the nodes x_1..x_(M-1)
-    of a grid x_0 = 0 .. x_(M-1) = L1.  Blocks with the same (b, D) on equal
-    grid samples share one (:meth:`serves`); X is read-only."""
+    """The nodes x_0 = 0 .. x_(M-1) = L1 of the grid x on [0, L1] (L1 snapped
+    to a node) and, for fam, log x_j and X[p - b, j] = x_j^p (L1 - x_j)^(D-p),
+    p = b..D, on x_1..x_(M-1): all that every block built on it shares; X is read-only."""
 
-    def __init__(self, x: np.ndarray, b: int, D: int):
-        self.x, self.b, self.degree = x, b, D
+    def __init__(self, x: np.ndarray, L1: float, fam: ModulatingFamily):
+        x = x[:snap_node(L1, x[-1], len(x)) + 1]
+        b, D = fam.b, fam.degree
+        self.x, self.L1, self.fam = x, x[-1], fam
         xp = x[1:]
         self.log_x = np.log(xp)
         X = np.empty((D - b + 1, len(xp)))
         np.exp(D * self.log_x, out=X[-1])
-        ratio = (x[-1] - xp) / xp
+        ratio = (self.L1 - xp) / xp
         for i in range(D - b, 0, -1):
             np.multiply(X[i], ratio, out=X[i - 1])
         X.flags.writeable = False
         self.X = X
 
-    def serves(self, x: np.ndarray, b: int, D: int) -> bool:
-        return (b, D) == (self.b, self.degree) and np.array_equal(x, self.x)
-
 
 class DataMoments:
-    """The family integrated against c = c_noisy and rhs = dcdt_noisy - r on
-    [0, L1], L1 snapped to a node: A and C, and B(alpha), G(alpha) on demand.
+    """The basis's family integrated against c = c_noisy and rhs = dcdt_noisy - r,
+    which must be sampled at the basis's nodes (else ValueError): A and C, and
+    B(alpha), G(alpha) on demand.  The weights w_j c(L1 - x_j), the sums s_c and
+    s_r and the basis serve every family with the same b and a degree up to the
+    basis's: :meth:`lift` returns such a family's moments, sharing them and the
+    per-alpha memo of the grid contraction."""
 
-    A block reuses the donor ``basis`` when it serves the block's grid and
-    (b, D), else builds its own.  The weights w_j c(L1 - x_j), the sums s_c
-    and s_r and the basis serve every family with the same b and a degree up
-    to this one's: :meth:`lift` returns such a family's moments, sharing them
-    and the per-alpha memo of the grid contraction."""
-
-    def __init__(self, fam: ModulatingFamily, ms: MeasurementSet, L1: float,
-                 basis: GridBasis | None = None):
-        M = snap_node(L1, ms.x[-1], len(ms.x)) + 1
-        x, c, rhs = ms.x[:M], ms.c_noisy[:M], ms.dcdt_noisy[:M] - ms.r[:M]
-        b, D = fam.b, fam.degree
-        if basis is None or not basis.serves(x, b, D):
-            basis = GridBasis(x, b, D)
+    def __init__(self, ms: MeasurementSet, basis: GridBasis):
+        x, M = basis.x, len(basis.x)
+        if not np.array_equal(ms.x[:M], x):
+            raise ValueError(f"measurements not sampled at the {M} nodes of the basis "
+                             f"on [0, {basis.L1}]")
+        c, rhs = ms.c_noisy[:M], ms.dcdt_noisy[:M] - ms.r[:M]
 
         # w_j c(L1 - x_j) and w_j rhs(L1 - x_j) for j >= 1
         W = (x[1] - x[0]) * np.stack([c[-2::-1], rhs[-2::-1]])
         W[:, -1] *= 0.5
         self.s_c, self.s_r = W @ basis.X.T  # over p = b..D
         self.w = W[0].copy()
-        self.basis, self.b, self.degree, self.L1 = basis, b, D, x[-1]
+        self.basis = basis
         self._weights = W  # scratch for _grid_moments
         self._memo: dict[float, np.ndarray] = {}  # alpha -> (m, l) over p = b+1..D
-        self._set_family(fam)
+        self._set_family(basis.fam)
 
     def _set_family(self, fam: ModulatingFamily) -> None:
         """Set A, C and the fractional tables to fam's, for fam with this
         block's b and a degree D_N = D - k <= D.  E lifts the basis sums to
         degree D_N by degree elevation (module docstring); for the block's
         own family (k = 0) it is the identity, and exact."""
-        k = self.degree - fam.degree
-        if fam.b != self.b or k < 0:
-            raise ValueError(f"cannot lift a degree-{self.degree}, b={self.b} block to "
+        own, L1 = self.basis.fam, self.basis.L1
+        k = own.degree - fam.degree
+        if fam.b != own.b or k < 0:
+            raise ValueError(f"cannot lift a degree-{own.degree}, b={own.b} block to "
                              f"N={fam.n_funcs}, b={fam.b}")
         P = np.arange(fam.degree - fam.b + 1)
         E = np.zeros((len(P), len(P) + k))
         for i in range(k + 1):  # exact integers, rounded once
-            E[P, P + i] = comb(k, i) / self.L1**k
+            E[P, P + i] = comb(k, i) / L1**k
         s_c, s_r = E @ self.s_c, E @ self.s_r
         a, e = np.array(fam.powers).T
         row = a - fam.b
-        self.A = (-a * s_c[row - 1] + (e - a) * s_c[row] + e * s_c[row + 1]) / self.L1
+        self.A = (-a * s_c[row - 1] + (e - a) * s_c[row] + e * s_c[row + 1]) / L1
         self.C = s_r[row]
         self.p = np.arange(fam.b + 1, fam.degree + 1, dtype=float)
         self.T = fam.table

@@ -13,7 +13,7 @@ from numpy.polynomial import Polynomial, polynomial as npp
 from scipy.integrate import trapezoid
 
 from .fracpoly import power_rule
-from .modfun import DataMoments, ModulatingFamily, build_family
+from .modfun import DataMoments, GridBasis, ModulatingFamily, build_family
 from .synthdata import MeasurementSet, TrueModel, synthesize
 from .estimator import EstimatorConfig, linearize, measurement_moments
 
@@ -43,7 +43,7 @@ def check_lemma1_identity() -> tuple[bool, str]:
     f = Polynomial([0.0, 0.0, L1, -1.0])  # x^2 (L1 - x): both integrands bounded
     fam = build_family(3, 3)
     x = np.linspace(0.0, L1, M)
-    mom = DataMoments(fam, sampled(x, f(x), f(x)), L1)
+    mom = DataMoments(sampled(x, f(x), f(x)), GridBasis(x, L1, fam))
     worst = 0.0
     for alpha in (1.3, 1.8):
         right, _ = mom.fractional_columns(alpha)  # integral of D^alpha phi_n(x) f(L1 - x)

@@ -129,10 +129,12 @@ def add_noise(ms: MeasurementSet, level: float, seed: int) -> MeasurementSet:
 
     Applied independently to the concentration and flux channels from one
     seeded numpy PCG64 generator (concentration draws first).  level = 0
-    returns the input unchanged.
+    returns the input unchanged.  A boolean level or seed raises ValueError.
     """
-    if not (math.isfinite(level) and level >= 0):
-        raise ValueError(f"noise level must be finite and non-negative, got {level}")
+    if isinstance(level, bool) or not (math.isfinite(level) and level >= 0):
+        raise ValueError(f"noise level must be finite and non-negative, got {level!r}")
+    if isinstance(seed, bool):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     if level == 0:
         return ms
     rng = np.random.default_rng(seed)

@@ -1,3 +1,4 @@
+import re
 import numpy as np
 import pytest
 from dataclasses import replace
@@ -50,7 +51,7 @@ def J_of(lin, mom):
     return float(np.sum((lin.K - mom.C) ** 2))
 
 
-class TestSolve2Col:
+class TestLinearizeOnColumns:
     """linearize's two-column least-squares solve, on hand-made columns."""
 
     def test_identity_matrix_unpacking(self):
@@ -94,7 +95,7 @@ class TestSolve2Col:
         assert linearize(mom, 1.6).cond == pytest.approx(ref, rel=1e-12)
 
 
-class TestAssembleTheorem1:
+class TestLinearizeOnMoments:
     """The Stage-1 rows of measurement_moments and their fit at a fixed alpha."""
 
     def test_noise_free_recovery(self, clean_13501, cfg3):
@@ -274,6 +275,29 @@ class TestNewtonEstimate:
         assert not res.converged
         assert "max_iter" in res.message
         assert len(res.iterations) == 1
+
+    def test_stop_at_lower_bound_named(self):
+        # alpha runs down onto the bound 1 + 1e-6, where the next step still
+        # points outward: the projection stops the loop, not a small step
+        res = newton_estimate(synthesize(TABLE1, 31501, 0.02, 2), EstimatorConfig(L1=5.0, N=20))
+        assert [round(it.alpha, 7) for it in res.iterations] == [1.4, 1.2, 1.000001]
+        assert res.converged
+        assert re.fullmatch(r"alpha held at its bound 1\.000001 against a step of -\d\.\d{3}e-\d\d",
+                            res.message)
+
+    @pytest.mark.parametrize("seed,stop", [
+        (5, r"alpha held at its bound 2 against a step of \+\d\.\d{3}e-\d\d"),
+        (10, r"alpha held at its bound 2 against a step of \+\d\.\d{3}e-\d\d"),
+        (0, r"alpha step stagnated below 1\.0e-06 \(stationary point\)"),
+    ])
+    def test_stop_message_at_true_order_two(self, seed, stop):
+        # at 5% noise the fit pushes alpha against 2 on some seeds and
+        # settles inside (1, 2) on others
+        ms = synthesize(replace(TABLE1, alpha=2.0), 31501, 0.05, seed)
+        res = newton_estimate(ms, EstimatorConfig(N=5))
+        assert res.converged
+        assert re.fullmatch(stop, res.message)
+        assert (res.alpha == pytest.approx(2.0, abs=1e-6)) == ("bound" in stop)
 
     @pytest.mark.parametrize("L1", [9.0, 5.0, 3.0, 2.0])
     def test_two_rows_rejected_before_the_first_step(self, L1):

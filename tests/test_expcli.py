@@ -259,26 +259,26 @@ class TestRun:
     def test_one_basis_per_L1(self, monkeypatch):
         # 4 data sets x 2 L1: 8 blocks on 2 grid bases, each built once
         bases, blocks = [], []
-        moments = expcli.measurement_moments
 
         class CountingBasis(modfun.GridBasis):
             def __init__(self, *args):
                 bases.append(self)
                 super().__init__(*args)
 
-        def counting_moments(ms, cfg, basis):
-            block = moments(ms, cfg, basis)
-            blocks.append(block)
-            return block
+        class CountingBlock(modfun.DataMoments):
+            def __init__(self, *args):
+                blocks.append(self)
+                super().__init__(*args)
 
-        monkeypatch.setattr(modfun, "GridBasis", CountingBasis)
-        monkeypatch.setattr(expcli, "measurement_moments", counting_moments)
+        monkeypatch.setattr(expcli, "GridBasis", CountingBasis)
+        monkeypatch.setattr(expcli, "DataMoments", CountingBlock)
         spec = spec_from_dict({**FAST, "mode": "two-param", "noise_levels": [0.0, 0.02],
                                "n_list": [3, 5], "L1_list": [9.0, 5.0], "seeds": [0, 1]})
         rows = run(spec, workers=1)
         assert all(r.converged and not r.error for r in rows)
         assert len(bases) == 2 and len(blocks) == 8
         assert [block.basis for block in blocks] == bases * 4
+        assert [(b.fam.n_funcs, b.L1) for b in bases] == [(5, 9.0), (5, 5.0)]
 
     @pytest.mark.parametrize("mode", ["two-param", "three-param"])
     def test_rows_match_fresh_synthesis(self, mode):
@@ -340,11 +340,11 @@ class TestRun:
 
     def test_one_block_and_one_contraction_per_alpha(self, monkeypatch):
         blocks, evaluated, contracted = [], [], []
-        moments, grid = expcli.measurement_moments, DataMoments._grid_moments
+        grid = DataMoments._grid_moments
 
-        def counting_moments(ms, cfg, basis):
-            blocks.append((cfg.N, cfg.L1))
-            return moments(ms, cfg, basis)
+        def counting_block(ms, basis):
+            blocks.append((basis.fam.n_funcs, basis.L1))
+            return DataMoments(ms, basis)
 
         def counting_grid(self, alpha):
             evaluated.append(alpha)
@@ -352,7 +352,7 @@ class TestRun:
                 contracted.append(alpha)
             return grid(self, alpha)
 
-        monkeypatch.setattr(expcli, "measurement_moments", counting_moments)
+        monkeypatch.setattr(expcli, "DataMoments", counting_block)
         monkeypatch.setattr(DataMoments, "_grid_moments", counting_grid)
         spec = spec_from_dict({**FAST, "noise_levels": [0.02], "n_list": [3, 5, 7, 9, 11]})
         rows = run(spec, workers=1)
@@ -363,14 +363,12 @@ class TestRun:
         assert len(contracted) < len(evaluated)
 
     def test_block_failure_recorded_per_cell_at_its_L1(self, monkeypatch):
-        moments = expcli.measurement_moments
-
-        def failing_moments(ms, cfg, basis):
-            if cfg.L1 == 5.0:
+        def failing_block(ms, basis):
+            if basis.L1 == 5.0:
                 raise ValueError("synthetic failure")
-            return moments(ms, cfg, basis)
+            return DataMoments(ms, basis)
 
-        monkeypatch.setattr(expcli, "measurement_moments", failing_moments)
+        monkeypatch.setattr(expcli, "DataMoments", failing_block)
         spec = spec_from_dict({**FAST, "mode": "two-param", "n_list": [3, 5],
                                "L1_list": [9.0, 5.0]})
         rows = run(spec, workers=1)
@@ -381,20 +379,20 @@ class TestRun:
         # a weak reference to each block and to the weights its lifted views
         # share: none is reachable once the next block or data set is made
         refs, alive = [], []
-        noise, moments = expcli.add_noise, expcli.measurement_moments
+        noise = expcli.add_noise
 
         def checking_add_noise(*args):
             alive.append(sum(ref() is not None for ref in refs))
             return noise(*args)
 
-        def checking_moments(ms, cfg, basis):
+        def checking_block(ms, basis):
             alive.append(sum(ref() is not None for ref in refs))
-            block = moments(ms, cfg, basis)
+            block = DataMoments(ms, basis)
             refs.extend([weakref.ref(block), weakref.ref(block.w)])
             return block
 
         monkeypatch.setattr(expcli, "add_noise", checking_add_noise)
-        monkeypatch.setattr(expcli, "measurement_moments", checking_moments)
+        monkeypatch.setattr(expcli, "DataMoments", checking_block)
         spec = spec_from_dict({**FAST, "noise_levels": [0.0, 0.02], "n_list": [3, 5],
                                "L1_list": [9.0, 5.0], "seeds": [0, 1]})
         rows = run(spec, workers=1)

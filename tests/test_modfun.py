@@ -8,7 +8,7 @@ from scipy.integrate import trapezoid
 
 from fadeid.modfun import DataMoments, GridBasis, build_family
 from fadeid.selftest import members, sampled
-from fadeid.synthdata import TrueModel, synthesize
+from fadeid.synthdata import CSV_HEADER, MeasurementSet, TrueModel, synthesize
 
 TABLE1 = TrueModel(nu=0.5, d=1.0, alpha=1.8, L=9.0, T=1.0)
 
@@ -16,6 +16,11 @@ TABLE1 = TrueModel(nu=0.5, d=1.0, alpha=1.8, L=9.0, T=1.0)
 @pytest.fixture(scope="module")
 def fam():
     return build_family(3, 3)
+
+
+def block_of(fam, ms, L1):
+    """fam's moments of ms on [0, L1], on a grid basis of their own."""
+    return DataMoments(ms, GridBasis(ms.x, L1, fam))
 
 
 def grid_data(M):
@@ -66,14 +71,14 @@ class TestBuildFamily:
             T[0, 0, 0] = T[0, 0, 0]  # the same value: a writable family stays intact
 
 
-class TestEvaluateOnGrid:
+class TestDataMomentsColumns:
     """The family sampled on a measurement grid, seen through the columns of
     DataMoments: B and G are checked against sampled derivatives, A and C
     against sampled members."""
 
     def test_integer_order_matches_second_derivative(self, fam):
         x, c = grid_data(301)
-        B, _ = DataMoments(fam, sampled(x, c, c), 9.0).fractional_columns(2.0)
+        B, _ = block_of(fam, sampled(x, c, c), 9.0).fractional_columns(2.0)
         for m, got in zip(members(fam, 9.0), B):
             ref = trapezoid(m.deriv(2)(x) * c[::-1], dx=x[1])
             assert got == pytest.approx(ref, rel=1e-10)
@@ -85,8 +90,8 @@ class TestEvaluateOnGrid:
         c2 = c.copy()
         c2[-1] = 1e6
         for alpha in (1.3, 1.8):
-            B, G = DataMoments(fam, sampled(x, c, c), 9.0).fractional_columns(alpha)
-            B2, G2 = DataMoments(fam, sampled(x, c2, c), 9.0).fractional_columns(alpha)
+            B, G = block_of(fam, sampled(x, c, c), 9.0).fractional_columns(alpha)
+            B2, G2 = block_of(fam, sampled(x, c2, c), 9.0).fractional_columns(alpha)
             assert np.array_equal(B, B2) and np.array_equal(G, G2)
 
     def test_phi_rows_vanish_at_endpoints(self, fam):
@@ -94,15 +99,15 @@ class TestEvaluateOnGrid:
         x, c = grid_data(101)
         c2 = c.copy()
         c2[[0, -1]] = 1e6
-        m1 = DataMoments(fam, sampled(x, c, c), 9.0)
-        m2 = DataMoments(fam, sampled(x, c2, c2), 9.0)
+        m1 = block_of(fam, sampled(x, c, c), 9.0)
+        m2 = block_of(fam, sampled(x, c2, c2), 9.0)
         for got, ref in ((m2.A, m1.A), (m2.C, m1.C)):
             assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_sensitivity_row_finite_difference(self, fam):
         alpha, h = 1.8, 1e-5
         x, c = grid_data(101)
-        mom = DataMoments(fam, sampled(x, c, c), 9.0)
+        mom = block_of(fam, sampled(x, c, c), 9.0)
         _, G = mom.fractional_columns(alpha)
         fd = (mom.fractional_columns(alpha + h)[0] - mom.fractional_columns(alpha - h)[0]) / (2 * h)
         assert np.abs(G - fd).max() <= 1e-6 * np.abs(G).max()
@@ -111,7 +116,7 @@ class TestEvaluateOnGrid:
         # 10 points on [0, 9]: spacing 1, so C is the unit-step trapezoid of phi_n
         x = np.linspace(0.0, 9.0, 10)
         ones = np.ones(10)
-        C = DataMoments(fam, sampled(x, ones, ones), 9.0).C
+        C = block_of(fam, sampled(x, ones, ones), 9.0).C
         for m, got in zip(members(fam, 9.0), C):
             assert got == pytest.approx(trapezoid(m(x), dx=1.0), rel=1e-12)
 
@@ -119,11 +124,11 @@ class TestEvaluateOnGrid:
     def test_invalid_arguments(self, fam, alpha, M):
         x = np.linspace(0.0, 9.0, M)
         with pytest.raises(ValueError):
-            DataMoments(fam, sampled(x, x, x), 9.0).fractional_columns(alpha)
+            block_of(fam, sampled(x, x, x), 9.0).fractional_columns(alpha)
 
     def test_dphi_matches_polynomial_derivative(self, fam):
         x, c = grid_data(77)
-        A = DataMoments(fam, sampled(x, c, c), 9.0).A
+        A = block_of(fam, sampled(x, c, c), 9.0).A
         for m, got in zip(members(fam, 9.0), A):
             ref = trapezoid(-m.deriv()(9.0 - x) * c, dx=x[1])
             assert got == pytest.approx(ref, rel=1e-9)
@@ -144,7 +149,7 @@ class TestDataMoments:
     def test_matches_direct_trapezoid(self, table1, N, tol, alpha, rl_reference):
         x, c = table1.x, table1.c_noisy
         fam = build_family(N, 3)
-        B, G = DataMoments(fam, sampled(x, c, c), 9.0).fractional_columns(alpha)
+        B, G = block_of(fam, sampled(x, c, c), 9.0).fractional_columns(alpha)
         refs = np.array([trapezoid(rl_reference(m, alpha, x) * c[::-1], dx=x[1]) for m in members(fam, 9.0)])
         for got, ref in zip((B, G), refs.T):
             assert np.abs(got - ref).max() <= tol * np.abs(ref).max()
@@ -152,14 +157,14 @@ class TestDataMoments:
     @pytest.mark.parametrize("L1", [nan, inf, -inf])
     def test_non_finite_L1_rejected(self, fam, L1):
         with pytest.raises(ValueError, match=f"L1={L1} does not leave a usable sub-grid"):
-            DataMoments(fam, synthesize(TrueModel(), 101), L1)
+            block_of(fam, synthesize(TrueModel(), 101), L1)
 
     @pytest.mark.parametrize("N", [3, 7, 11, 20])
     def test_alpha_free_columns_match_longdouble(self, table1, N):
         # the factored trapezoid sums of A and C, in extended precision
         fam = build_family(N, 3)
         x, c, rhs = table1.x, table1.c_noisy, table1.dcdt_noisy - table1.r
-        mom = DataMoments(fam, table1, 9.0)
+        mom = block_of(fam, table1, 9.0)
         xl = x.astype(np.longdouble)
         yl = np.longdouble(9.0) - xl
         w = np.full(len(x), xl[1])
@@ -226,7 +231,7 @@ class TestMpmathOracle:
                     G += g * (mp.digamma(k + 1 - al) * m[k] - l[k])
                 B_ref[n], G_ref[n] = B, G
         x, c = data
-        B, G = DataMoments(fam, sampled(x, c, c), 9.0).fractional_columns(alpha)
+        B, G = block_of(fam, sampled(x, c, c), 9.0).fractional_columns(alpha)
         assert np.abs(B - B_ref).max() <= 1e-11 * np.abs(B_ref).max()
         assert np.abs(G - G_ref).max() <= 1e-10 * np.abs(G_ref).max()
 
@@ -260,8 +265,9 @@ class TestFractionalIntegrationByParts:
             assert abs(left - right) <= 1e-4 * abs(right)
 
 
-class TestDonorBasis:
-    """A block reuses a donor grid basis only for its own grid and (b, D)."""
+class TestGridBasis:
+    """A grid basis, built for a grid, L1 and a family, serves the block of
+    every data set sampled at its nodes, and of no other."""
 
     @staticmethod
     def same_moments(a, b):
@@ -271,31 +277,36 @@ class TestDonorBasis:
         return all(np.array_equal(got, ref) for got, ref in pairs)
 
     @pytest.mark.parametrize("L1", [9.0, 5.0])
-    def test_same_grid_reused_and_exact(self, L1):
-        donor = DataMoments(build_family(7, 3), synthesize(TABLE1, 2701), L1).basis
+    def test_shared_basis_exact(self, L1):
+        fam = build_family(7, 3)
+        basis = GridBasis(synthesize(TABLE1, 2701).x, L1, fam)
         ms = synthesize(TABLE1, 2701, noise_level=0.02, seed=4)
-        shared = DataMoments(build_family(7, 3), ms, L1, donor)
-        assert shared.basis is donor
-        assert self.same_moments(shared, DataMoments(build_family(7, 3), ms, L1))
+        shared = DataMoments(ms, basis)
+        assert shared.basis is basis
+        assert self.same_moments(shared, block_of(fam, ms, L1))
 
-    @pytest.mark.parametrize("truth,M,L1,N,b", [
-        (TABLE1, 2701, 5.0, 7, 3),              # another interval on the same grid
-        (TrueModel(L=8.0), 2701, 8.0, 7, 3),    # as many samples on another domain
-        (TABLE1, 2703, 9.0, 7, 3),              # another M on the same domain
-        (TABLE1, 2701, 9.0, 5, 3),              # another degree
-        (TABLE1, 2701, 9.0, 5, 4),              # another b, the same degree
-    ], ids=["other-L1", "other-L", "other-M", "other-N", "other-b"])
-    def test_other_grid_or_family_not_reused(self, truth, M, L1, N, b):
-        donor = DataMoments(build_family(7, 3), synthesize(TABLE1, 2701), 9.0).basis
+    def test_same_nodes_on_a_shorter_grid_served(self):
+        # the basis's nodes decide, not where the data's grid ends
+        fam = build_family(7, 3)
+        ms = synthesize(TABLE1, 2701, noise_level=0.02, seed=4)
+        short = MeasurementSet(*(getattr(ms, f)[:1600] for f in CSV_HEADER))
+        block = DataMoments(short, GridBasis(ms.x, 5.0, fam))
+        assert self.same_moments(block, block_of(fam, ms, 5.0))
+
+    @pytest.mark.parametrize("truth,M,L1", [
+        (TrueModel(L=8.0), 2701, 9.0),  # as many samples on another domain
+        (TABLE1, 2703, 9.0),            # another M on the same domain
+        (TABLE1, 2703, 5.0),            # another M, a sub-interval
+        (TABLE1, 901, 5.0),             # fewer samples than the basis has nodes
+    ], ids=["other-L", "other-M", "other-M-sub", "too-few"])
+    def test_other_grid_rejected(self, truth, M, L1):
+        basis = GridBasis(synthesize(TABLE1, 2701).x, L1, build_family(7, 3))
         ms = synthesize(truth, M, noise_level=0.02, seed=4)
-        fam = build_family(N, b)
-        block = DataMoments(fam, ms, L1, donor)
-        assert block.basis is not donor
-        assert block.basis.serves(ms.x[:len(block.basis.x)], b, fam.degree)
-        assert self.same_moments(block, DataMoments(fam, ms, L1))
+        with pytest.raises(ValueError, match=f"not sampled at the {len(basis.x)} nodes"):
+            DataMoments(ms, basis)
 
     def test_basis_read_only(self):
-        basis = GridBasis(np.linspace(0.0, 9.0, 91), 3, 10)
+        basis = GridBasis(np.linspace(0.0, 9.0, 91), 9.0, build_family(3, 3))
         assert basis.X.shape == (8, 90) and not basis.X.flags.writeable
 
 
@@ -309,10 +320,10 @@ class TestLift:
 
     @pytest.mark.parametrize("L1", [9.0, 5.0, 0.05])
     def test_matches_own_block(self, table1, L1):
-        block = DataMoments(build_family(21, 3), table1, L1)
+        block = block_of(build_family(21, 3), table1, L1)
         for N in range(2, 22):
             fam = build_family(N, 3)
-            own, lifted = DataMoments(fam, table1, L1), block.lift(fam)
+            own, lifted = block_of(fam, table1, L1), block.lift(fam)
             pairs = [(lifted.A, own.A), (lifted.C, own.C)]
             for alpha in (1.01, 1.3, 1.8, 2.0):
                 pairs += zip(lifted.fractional_columns(alpha), own.fractional_columns(alpha))
@@ -322,14 +333,14 @@ class TestLift:
     def test_own_degree_is_not_lifted(self, table1):
         # the block's own family takes the identity lift, which is exact
         fam = build_family(7, 3)
-        block = DataMoments(fam, table1, 9.0)
+        block = block_of(fam, table1, 9.0)
         view = block.lift(fam)
         assert np.array_equal(view.A, block.A) and np.array_equal(view.C, block.C)
         for got, ref in zip(view.fractional_columns(1.7), block.fractional_columns(1.7)):
             assert np.array_equal(got, ref)
 
     def test_views_share_the_alpha_memo(self, table1):
-        block = DataMoments(build_family(11, 3), table1, 9.0)
+        block = block_of(build_family(11, 3), table1, 9.0)
         small, mid = block.lift(build_family(3, 3)), block.lift(build_family(7, 3))
         small.fractional_columns(1.5)
         mid.fractional_columns(1.5)
@@ -338,6 +349,6 @@ class TestLift:
 
     @pytest.mark.parametrize("N,b", [(12, 3), (3, 2), (5, 4)])
     def test_other_b_or_higher_degree_rejected(self, table1, N, b):
-        block = DataMoments(build_family(11, 3), table1, 9.0)
+        block = block_of(build_family(11, 3), table1, 9.0)
         with pytest.raises(ValueError, match="cannot lift"):
             block.lift(build_family(N, b))

@@ -145,6 +145,16 @@ class TestNoise:
         with pytest.raises(ValueError):
             add_noise(ms, -0.1, seed=0)
 
+    @pytest.mark.parametrize("level,seed,what", [
+        (True, 0, "noise level"), (False, 0, "noise level"), (0.02, True, "seed"), (0.0, False, "seed"),
+    ])
+    def test_boolean_level_or_seed_rejected(self, level, seed, what):
+        # True would add 100% noise, and seed=True draw seed 1's noise
+        with pytest.raises(ValueError, match=what):
+            add_noise(synthesize(CANONICAL, 101), level, seed)
+        with pytest.raises(ValueError, match=what):
+            synthesize(CANONICAL, 101, level, seed)
+
     @pytest.mark.parametrize("level", [math.nan, math.inf, -0.1])
     def test_synthesize_rejects_invalid_level(self, level):
         with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
