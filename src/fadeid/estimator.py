@@ -159,13 +159,15 @@ def newton_fit(mom: DataMoments, alpha0: float) -> EstimateResult:
     Each iterate calls :func:`linearize` at the current alpha, then takes a
     clamped scalar Gauss-Newton step dalpha = <K', U - K> / <K', K'>
     projected into [1 + 1e-6, 2].  Stops when the projected step falls below
-    ALPHA_TOL (converged: at a stationary point, or held at a bound against
-    a larger outward step, as the message says), or at MAX_ITER (flagged not
-    converged), and returns the last iterate, whose J = ||K - U||^2 is
-    ``iterations[-1].residual``.  Fewer than 3 rows raise ValueError: the
-    Stage-1 system is then square, so K' = 0 in exact arithmetic.
-    <K', K'> at or below 1e-30 <U, U> raises GradientDegenerateError; both
-    scale alike with the length unit, so the test does not depend on it.
+    ALPHA_TOL, or at MAX_ITER (not converged), and returns the last iterate,
+    whose J = ||K - U||^2 is ``iterations[-1].residual``.  The message says
+    whether a stationary point or a bound, against a larger outward step,
+    stopped alpha; either is converged except a hold at the lower bound
+    1 + 1e-6, which is no order of the model's (1, 2].  Fewer than 3 rows
+    raise ValueError: the Stage-1 system is then square, so K' = 0 in exact
+    arithmetic.  <K', K'> at or below 1e-30 <U, U> raises
+    GradientDegenerateError; both scale alike with the length unit, so the
+    test does not depend on it.
     """
     U = mom.C
     if len(U) < 3:
@@ -193,10 +195,11 @@ def newton_fit(mom: DataMoments, alpha0: float) -> EstimateResult:
         step = float(np.clip(step, -STEP_CLAMP, STEP_CLAMP))
         new_alpha = float(np.clip(alpha + step, 1.0 + 1e-6, 2.0))
         if abs(new_alpha - alpha) < ALPHA_TOL:
-            converged = True
             if abs(step) < ALPHA_TOL:
+                converged = True
                 message = f"alpha step stagnated below {ALPHA_TOL:.1e} (stationary point)"
-            else:  # the projection, not the step, stopped alpha
+            else:  # the projection, not the step, stopped alpha; as alpha is in (1, 2],
+                converged = new_alpha == 2.0  # a hold at 2 is an answer, one at 1 + 1e-6 not
                 message = f"alpha held at its bound {new_alpha:.7g} against a step of {step:+.3e}"
             break
         alpha = new_alpha

@@ -19,12 +19,15 @@ largest swept N; each cell fits that block lifted to its own N, and the
 cells share its grid contraction at every alpha they have in common.  The
 blocks at one L1 share one grid basis, built once per process.  A process
 keeps one block alive, freeing it before the next block or data set is
-made.  A failed synthesis or block build hands its exception to the cells it
-stops in the block's place, so every failure reaches ``row.error`` one way.
-Every data set has the same cells, so W worker processes split them evenly
-by stride: process k runs data sets k, k + W, k + 2W, ...  The calling
-process is process 0; it starts the other W - 1, and each sends its rows
-back over a one-way pipe.
+made.  Each block is built in one step: the clean profile, the data set's
+noise and the L1's basis where not yet made, then the block.  An exception
+from any of them takes the block's place for that L1's cells, so every
+failure reaches ``row.error`` one way; a data set whose noise failed is
+tried again, and fails again, at its next L1.  Every data set has the same
+cells, so W worker processes split them evenly by stride: process k runs
+data sets k, k + W, k + 2W, ...  The calling process is process 0; it
+starts the other W - 1 and passes each the spec once with its share, and
+each sends its rows back over a one-way pipe.
 """
 
 from __future__ import annotations
@@ -146,15 +149,14 @@ def load_spec(path) -> ExperimentSpec:
         return spec_from_dict(yaml.load(fh, Loader=_YAML_LOADER) or {})
 
 
-def _run_cell(spec, block: DataMoments | Exception, idx, noise, n, L1, seed) -> ResultRow:
-    """Fit one cell on the moments lifted from its data set's block at L1;
-    ``block`` is the exception instead when the synthesis or the block failed."""
-    row = ResultRow(idx, noise, n, L1, seed)
+def _run_cell(spec, block: DataMoments | Exception, row: ResultRow) -> ResultRow:
+    """Fill ``row`` with the fit of its cell on the block lifted to its N, or
+    with ``block`` when it is the exception that stopped the block's build."""
     truth = spec.truth
     try:
         if isinstance(block, Exception):
             raise block
-        mom = block.lift(build_family(n, spec.estimator.b))
+        mom = block.lift(build_family(row.n_funcs, spec.estimator.b))
         if spec.mode == "two-param":
             lin = linearize(mom, truth.alpha)
             row.est_nu, row.est_d, row.est_alpha = lin.nu, lin.d, truth.alpha
@@ -177,52 +179,44 @@ def _run_cell(spec, block: DataMoments | Exception, idx, noise, n, L1, seed) -> 
     return row
 
 
-def _run_data_set(tasks) -> list[ResultRow]:
-    """Fit each (noise, seed) data set's cells in turn, one L1 at a time, on
-    one block for the largest swept N.  The noise-free profile is synthesized
-    once and each data set adds its noise to it; the blocks at one L1 share
-    one grid basis.  An exception from the synthesis, the noise or a block
-    build takes the block's place for the cells it stops."""
+def _run_data_set(spec, tasks) -> list[ResultRow]:
+    """Fit the cells of each ((noise, seed), {L1: [(idx, n)]}) task, one block
+    per L1; an exception from any step of a block's build takes its place."""
     rows, clean, bases = [], None, {}
-    for spec, (noise, seed), by_L1 in tasks:
-        ms = block = None  # the last data set and block are freed before this one is made
-        try:
-            if clean is None:
-                clean = synthesize(spec.truth, spec.grid_points)
-            ms = add_noise(clean, noise, seed)
-        except Exception as exc:  # every cell of this data set records it
-            block = exc
+    fam = build_family(max(spec.n_list), spec.estimator.b)
+    for (noise, seed), by_L1 in tasks:
+        ms = None  # the last data set is freed before this one is made
         for L1, cells in by_L1.items():
-            if ms is not None:
-                block = None  # the last block is freed before this one is built
-                try:
-                    if L1 not in bases:
-                        fam = build_family(max(spec.n_list), spec.estimator.b)
-                        bases[L1] = GridBasis(ms.x, L1, fam)
-                    block = DataMoments(ms, bases[L1])
-                except Exception as exc:  # every cell at this L1 records it
-                    block = exc
-            rows += [_run_cell(spec, block, idx, noise, n, L1, seed) for idx, n in cells]
+            block = None  # the last block is freed before this one is built
+            try:
+                if clean is None:
+                    clean = synthesize(spec.truth, spec.grid_points)
+                if ms is None:
+                    ms = add_noise(clean, noise, seed)
+                if L1 not in bases:
+                    bases[L1] = GridBasis(ms.x, L1, fam)
+                block = DataMoments(ms, bases[L1])
+            except Exception as exc:  # every cell at this L1 records it
+                block = exc
+            rows += [_run_cell(spec, block, ResultRow(idx, noise, n, L1, seed))
+                     for idx, n in cells]
     return rows
 
 
-def _send_rows(writer, tasks) -> None:
+def _send_rows(writer, spec, tasks) -> None:
     """A worker process's body: fit its data sets, send their rows back."""
     with writer:
-        writer.send(_run_data_set(tasks))
+        writer.send(_run_data_set(spec, tasks))
 
 
 def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
     """Run every (noise, N, L1, seed) cell; failures are recorded, not raised.
 
-    Each (noise, seed) data set is one task, synthesized once.  Tasks run
-    serially unless at least 2 workers are allowed: at most ``workers``
-    (default: the CPUs this process may run on, else all CPUs), one per task
-    and one per ``_POOL_CELL_POINTS``.  Worker k runs ``tasks[k::workers]``:
-    the calling process is worker 0 and starts the rest as processes, each
-    sending its rows back over a one-way pipe.  A worker that exits without
-    sending raises RuntimeError; workers still running when the sweep ends
-    or is interrupted are terminated.  Rows come back in product order.
+    Uses at most ``workers`` processes (default: the CPUs this process may
+    run on), one per data set and per ``_POOL_CELL_POINTS``, and deals the
+    data sets to them by stride.  A worker that exits without sending its
+    rows raises RuntimeError; workers still running when the sweep ends or
+    is interrupted are terminated.  Rows come back in product order.
     """
     if workers is not None and workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
@@ -230,7 +224,7 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
     cells = list(product(spec.noise_levels, spec.n_list, spec.L1_list, spec.seeds))
     for idx, (noise, n, L1, seed) in enumerate(cells):
         groups.setdefault((noise, seed), {}).setdefault(L1, []).append((idx, n))
-    tasks = [(spec, key, group) for key, group in groups.items()]
+    tasks = list(groups.items())
     cap = min(len(tasks), len(cells) * spec.grid_points // _POOL_CELL_POINTS)
     if cap > 1 and workers is None:  # macOS and Windows lack sched_getaffinity
         affinity = getattr(os, "sched_getaffinity", None)
@@ -240,11 +234,11 @@ def run(spec: ExperimentSpec, workers: int | None = None) -> list[ResultRow]:
     try:
         for k in range(1, workers):
             reader, writer = Pipe(duplex=False)
-            child = Process(target=_send_rows, args=(writer, tasks[k::workers]), daemon=True)
+            child = Process(target=_send_rows, args=(writer, spec, tasks[k::workers]), daemon=True)
             children.append((child, reader))
             child.start()
             writer.close()  # the child holds the only write end: EOF once it exits
-        parts = [_run_data_set(tasks[::workers])]
+        parts = [_run_data_set(spec, tasks[::workers])]
         for child, reader in children:
             try:
                 parts.append(reader.recv())
@@ -421,10 +415,9 @@ def main(argv=None) -> int:
     p_sw.add_argument("--out", help="output directory (overrides spec)")
     p_sw.add_argument("--seed", type=int, default=0, help="offset added to every spec seed")
     p_sw.add_argument("--workers", type=_worker_count, default=None,
-                      help="cap on the processes that fit cells: this one, and the ones it "
-                      "starts (default: the CPUs this process may run on); at most one per "
-                      f"data set and per {_POOL_CELL_POINTS} cells x grid points; the data sets "
-                      "are dealt to them in turn, so each runs an equal share")
+                      help="cap on the processes that fit cells, this one included (default: "
+                      "the CPUs this process may run on); at most one per data set and per "
+                      f"{_POOL_CELL_POINTS} cells x grid points")
     p_sw.add_argument("--quiet", action="store_true", help="suppress per-cell progress")
     p_sw.set_defaults(func=_cmd_sweep, spec=_sweep_spec)
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from numbers import Integral
 
 import numpy as np
 
@@ -129,12 +130,13 @@ def add_noise(ms: MeasurementSet, level: float, seed: int) -> MeasurementSet:
 
     Applied independently to the concentration and flux channels from one
     seeded numpy PCG64 generator (concentration draws first).  level = 0
-    returns the input unchanged.  A boolean level or seed raises ValueError.
+    returns the input unchanged.  A boolean level, or a seed that is not an
+    integer >= 0 (None would draw unseeded noise), raises ValueError.
     """
     if isinstance(level, bool) or not (math.isfinite(level) and level >= 0):
         raise ValueError(f"noise level must be finite and non-negative, got {level!r}")
-    if isinstance(seed, bool):
-        raise ValueError(f"seed must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     if level == 0:
         return ms
     rng = np.random.default_rng(seed)

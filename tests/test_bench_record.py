@@ -1,8 +1,9 @@
-"""tools/bench_record.py's paired comparison, on synthetic run records."""
+"""tools/bench_record.py's paired comparison, on synthetic run records, and its machine block."""
 
 import importlib.util
 from pathlib import Path
 
+import numpy
 import pytest
 
 _spec = importlib.util.spec_from_file_location(
@@ -131,3 +132,15 @@ def test_paired_wins_counts_losses():
     tree = [p + 1.0 for p in PARENT[:7]] + PARENT[7:9] + [PARENT[9] - 1.0]
     got = compare(tree, PARENT)
     assert (got["wins"], got["losses"], got["pairs"]) == (7, 1, 10)
+
+
+def test_machine_records_the_blas_build_and_its_thread_settings(monkeypatch):
+    # records made under different BLAS builds or thread counts do not compare
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    got = bench_record.machine()
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (got["blas"], got["blas_version"]) == (blas["name"], blas["version"])
+    assert got["blas"] and got["blas_version"]
+    assert (got["OPENBLAS_NUM_THREADS"], got["OMP_NUM_THREADS"]) == ("1", None)
+    assert got["numpy"] == numpy.__version__ and got["nproc"] >= 1

@@ -278,10 +278,11 @@ class TestNewtonEstimate:
 
     def test_stop_at_lower_bound_named(self):
         # alpha runs down onto the bound 1 + 1e-6, where the next step still
-        # points outward: the projection stops the loop, not a small step
+        # points outward: the projection stops the loop, not a small step,
+        # and an order outside the model's (1, 2] is no converged answer
         res = newton_estimate(synthesize(TABLE1, 31501, 0.02, 2), EstimatorConfig(L1=5.0, N=20))
         assert [round(it.alpha, 7) for it in res.iterations] == [1.4, 1.2, 1.000001]
-        assert res.converged
+        assert not res.converged
         assert re.fullmatch(r"alpha held at its bound 1\.000001 against a step of -\d\.\d{3}e-\d\d",
                             res.message)
 

@@ -2,6 +2,8 @@ import csv
 import math
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 import weakref
 from dataclasses import replace
@@ -61,21 +63,21 @@ _CHILD_MARKS = None
 
 
 def _seeds(tasks) -> list[int]:
-    return [seed for _, (_, seed), _ in tasks]
+    return [seed for (_, seed), _ in tasks]
 
 
-def _run_data_set_here(tasks):
+def _run_data_set_here(spec, tasks):
     # a forked worker inherits expcli._run_data_set patched to this
     if multiprocessing.parent_process() is None:  # the calling process
         _RAN_HERE.append(_seeds(tasks))
     else:  # a child's list is its own copy: it leaves a mark named by the seeds
         (_CHILD_MARKS / " ".join(map(str, _seeds(tasks)))).touch()
-    return _run_data_set(tasks)
+    return _run_data_set(spec, tasks)
 
 
-def _exits_in_child(tasks):
+def _exits_in_child(spec, tasks):
     if multiprocessing.parent_process() is None:  # the calling process
-        return _run_data_set(tasks)
+        return _run_data_set(spec, tasks)
     os._exit(3)  # a worker that dies before it sends its rows
 
 
@@ -83,13 +85,13 @@ def _child_shares(marks) -> list[list[int]]:
     return sorted([int(seed) for seed in mark.name.split()] for mark in marks.iterdir())
 
 
-def _interrupted_here(tasks):
+def _interrupted_here(spec, tasks):
     if multiprocessing.parent_process() is None:  # the calling process
         raise KeyboardInterrupt
     for seed in _seeds(tasks):  # 2 s a share, far longer than run() takes to stop it
         (_CHILD_MARKS / str(seed)).touch()
         time.sleep(0.5)
-    return _run_data_set(tasks)
+    return _run_data_set(spec, tasks)
 
 
 def read_rows(path) -> list[ResultRow]:
@@ -420,7 +422,7 @@ class TestRun:
             return rows, len(started)
 
         def recording_process(**kwargs):
-            started.append(kwargs["args"][1])
+            started.append(kwargs["args"][2])
             return process(**kwargs)
 
         # real worker processes, one per data set, however little work a cell is
@@ -498,7 +500,7 @@ class TestRun:
 
         class SerialProcess:  # starts no process: its share runs when started
             def __init__(self, target, args, daemon):
-                started.append(args[1])
+                started.append(args[2])
                 self.target, self.args = target, args
 
             def start(self):
@@ -512,9 +514,9 @@ class TestRun:
 
         monkeypatch.setattr(expcli, "Process", SerialProcess)
         monkeypatch.setattr(expcli, "synthesize", lambda *a: None)
-        monkeypatch.setattr(expcli, "add_noise", lambda clean, *a: noised.append(a))
-        monkeypatch.setattr(expcli, "_run_cell",
-                            lambda spec, block, idx, *cell: ResultRow(idx, *cell))
+        # a stand-in data set, not None: a data set still None is noised again at its next L1
+        monkeypatch.setattr(expcli, "add_noise", lambda clean, *a: noised.append(a) or a)
+        monkeypatch.setattr(expcli, "_run_cell", lambda spec, block, row: row)
 
         def sweep(M, n_sets, n_list=(3, 5, 7, 9, 11), L1_list=(9.0,), workers=64):
             started.clear()
@@ -538,7 +540,7 @@ class TestRun:
         assert sweep(31501, 8, workers=2) == 1
         # each task holds its data set's cells grouped by L1, as [(idx, n)]
         assert [[(seed, {L1: len(cells) for L1, cells in by_L1.items()})
-                 for _, (_, seed), by_L1 in share] for share in started] == [
+                 for (_, seed), by_L1 in share] for share in started] == [
             [(1, {9.0: 5}), (3, {9.0: 5}), (5, {9.0: 5}), (7, {9.0: 5})]
         ]
         assert sweep(31501, 8, workers=1) == 0
@@ -567,19 +569,22 @@ class TestRun:
         assert math.isnan(rows[0].est_nu)
 
     def test_synthesis_failure_recorded_per_cell(self, monkeypatch):
-        noise = expcli.add_noise
+        noise, tried = expcli.add_noise, []
 
         def failing_add_noise(clean, level, seed):
+            tried.append(seed)
             if seed == 1:
                 raise ValueError("synthetic failure")
             return noise(clean, level, seed)
 
         monkeypatch.setattr(expcli, "add_noise", failing_add_noise)
         spec = spec_from_dict({**FAST, "mode": "two-param", "noise_levels": [0.02],
-                               "n_list": [3, 5], "seeds": [1, 0]})
+                               "n_list": [3, 5], "L1_list": [9.0, 5.0], "seeds": [1, 0]})
         rows = run(spec, workers=1)
-        assert [r.error.startswith("ValueError") for r in rows] == [True, False, True, False]
-        assert [r.converged for r in rows] == [False, True, False, True]
+        # the failed data set is tried again at its next L1 and fails the same way
+        assert tried == [1, 1, 0]
+        assert [r.error for r in rows] == ["ValueError: synthetic failure", ""] * 4
+        assert [r.converged for r in rows] == [False, True] * 4
 
     def test_clean_synthesis_failure_recorded_per_cell(self, monkeypatch):
         def failing_synthesize(*args):
@@ -905,6 +910,21 @@ class TestMain:
         assert rc == 2
         assert err == "fadeid sweep: error: seeds must be integers >= 0, got -2\n"
         assert not (tmp_path / "res").exists()
+
+    @pytest.mark.parametrize("argv,code,err", [
+        (["estimate", "--quiet"], 0, ""),
+        (["sweep"], 2, "the following arguments are required: --config"),
+    ])
+    def test_module_entry_point(self, argv, code, err, tmp_path):
+        # python -m fadeid.expcli exits with main()'s return code
+        src = str(Path(expcli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "fadeid.expcli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == code
+        assert done.stdout == "" and err in done.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_selftest_smoke(self, capsys):
         rc = main(["selftest"])

@@ -13,8 +13,9 @@ pair, so slow drift of a shared machine falls on both sides alike.
 
 The file holds every run, the median, quartiles, minimum and maximum of
 each metric per workload and tree, the summed ``attempted`` and ``failed``
-ops per workload and tree, nproc, the Python/numpy/scipy versions and each
-tree's git revision.  Nothing here imports fadeid.  With
+ops per workload and tree, nproc, the Python/numpy/scipy versions, numpy's
+BLAS name and version, the OPENBLAS_NUM_THREADS and OMP_NUM_THREADS values
+and each tree's git revision.  Nothing here imports fadeid.  With
 ``--parent`` it also holds, per workload and metric of BENCHMARK.json, the
 pairs in which the tree beat the parent by the metric's ``better``
 direction, whether that is a gain: at least 9 in 10 pairs won, and the
@@ -191,6 +192,24 @@ def verdicts(summary: dict, end_to_end: list[dict], wins: dict | None = None) ->
     return out
 
 
+def machine() -> dict:
+    """The CPUs, versions and BLAS build that a record's runs depend on."""
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "clk_tck": os.sysconf("SC_CLK_TCK"),
+        "cpu_count": os.cpu_count(),
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": blas.get("name"),
+        "blas_version": blas.get("version"),
+        # BLAS threads per process, None when unset (then OpenBLAS uses every CPU)
+        **{name: os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")},
+    }
+
+
 def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -207,15 +226,7 @@ def main(argv=None) -> int:
     data = {
         "command": "python3 perfbench/run.py --workload W --seed S --seconds T",
         "seconds": seconds,
-        "machine": {
-            "nproc": len(os.sched_getaffinity(0)),
-            "clk_tck": os.sysconf("SC_CLK_TCK"),
-            "cpu_count": os.cpu_count(),
-            "platform": platform.platform(),
-            "python": platform.python_version(),
-            "numpy": numpy.__version__,
-            "scipy": scipy.__version__,
-        },
+        "machine": machine(),
         "revisions": {name: revision(path) for name, path in trees.items()},
         "summary": {},
         "runs": [],
