@@ -26,15 +26,22 @@ channels on [0, L1]; the MeasurementSet checked the grid when it was built.
 :func:`newton_fit` is the one Gauss-Newton loop on given moments, from alpha0:
 :func:`newton_estimate` runs it on config's own block, and a sweep runs it on
 views that ``DataMoments.lift`` makes of one block per data set and L1.
-:func:`linearize` is the one Stage-1 routine: at a given alpha it forms
-(B, G) with one small matrix product and takes one SVD of [A B], which
-solves both the Stage-1 system and the derivative system of Proposition 1
-(same matrix, right-hand side -d*G) and gives the condition number of [A B].
+:func:`linearize` is the one Stage-1 routine.  A and C are alpha-free, so
+each family's moments keep A's factor next to them (||A||, a = A/||A||, a.C
+and C - a(a.C)); at a given alpha, linearize forms (B, G) with one small
+matrix product and then needs only length-N vector work.  One Gram-Schmidt
+step of B against a solves the Stage-1 system and gives the 2 x 2 triangular
+factor of [A B], whose closed-form singular values give cond([A B]) and the
+rank test.  The same factor solves the derivative system of Proposition 1
+(right-hand side -d*G) with the residual term of variable projection (Golub
+& Pereyra, SIAM J. Numer. Anal. 10, 1973) added, so K' is exactly dK/dalpha;
+Kaufman's simplification (BIT 15, 1975) leaves that term out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import hypot, isfinite, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -59,7 +66,7 @@ class IterationRecord(NamedTuple):
 
 
 class Linearization(NamedTuple):
-    """Stage-1 fit at one alpha and its first-order change in alpha."""
+    """Stage-1 fit at one alpha and its exact first-order change in alpha."""
 
     nu: float
     d: float
@@ -115,28 +122,41 @@ def measurement_moments(ms: MeasurementSet, config: EstimatorConfig) -> DataMome
 
 
 def linearize(mom: DataMoments, alpha: float) -> Linearization:
-    """Stage-1 fit at order alpha and its alpha-derivative, from one SVD of [A B].
+    """Stage-1 fit at order alpha and its exact alpha-derivative, from A's factor.
 
     The rows nu*A_n + d*B(alpha)_n = C_n are solved in the least-squares
-    sense.  Differentiating them in alpha (A and C are alpha-free) gives
-    [A B] (dnu, dd) = -d*G, the derivative system of Proposition 1, solved
-    with the same factorisation; then K' = dnu*A + dd*B + d*G.
+    sense by one Gram-Schmidt step against mom's a = A/||A|| (kept per
+    family by :func:`~fadeid.modfun.column_factor`): with beta = a.B and
+    b_perp = B - beta*a, [A B] = [a, b_perp/||b_perp||] R, R = [[||A||, beta],
+    [0, ||b_perp||]], whose singular values give cond([A B]) and the rank test.
+    Differentiating the fit in alpha (A and C are alpha-free, dB/dalpha = G)
+    gives R^T R (dnu, dd) = -d [A B]^T G + (0, G.r) with r = C - K: the
+    derivative system of Proposition 1 plus the residual term of variable
+    projection, so K' = dnu*A + dd*B + d*G is exactly dK/dalpha.  A non-finite
+    entry of B or G makes a.B or a.G non-finite (0*inf is NaN): ValueError.
     """
     B, G = mom.fractional_columns(alpha)
-    if not (np.all(np.isfinite(B)) and np.all(np.isfinite(G))):
+    nA, a, aC, c_perp = mom.factor
+    with np.errstate(invalid="ignore"):  # 0*inf: NaN, rejected below, not a warning
+        beta, aG = float(a @ B), float(a @ G)
+    if not (isfinite(beta) and isfinite(aG)):
         raise ValueError(f"non-finite fractional column at alpha={alpha}")
-    A = mom.A
-    u, s, vt = np.linalg.svd(np.column_stack([A, B]), full_matrices=False)
-    if s[1] <= 1e-12 * s[0]:
+    b_perp = B - beta * a
+    nb2 = float(b_perp @ b_perp)
+    nb = sqrt(nb2)
+    s0 = (hypot(nA + nb, beta) + hypot(nA - nb, beta)) / 2  # singular values of R
+    s1 = nA * nb / s0 if s0 else 0.0
+    if s1 <= 1e-12 * s0:
         raise RankDeficientError(
-            f"system numerically rank-deficient (singular values {s[0]:.3e}, {s[1]:.3e})"
+            f"system numerically rank-deficient (singular values {s0:.3e}, {s1:.3e})"
         )
-    coef = u.T @ np.column_stack([mom.C, G])
-    (nu, p), (d, q) = vt.T @ (coef / s[:, None])
-    nu, d, dnu, dd = float(nu), float(d), -float(d * p), -float(d * q)
-    K = nu * A + d * B
-    Kp = dnu * A + dd * B + d * G
-    return Linearization(nu, d, dnu, dd, K, Kp, float(s[0] / s[1]))
+    d = float(b_perp @ c_perp) / nb2
+    nu = (aC - beta * d) / nA
+    K = nu * mom.A + d * B
+    dd = float(G @ (mom.C - K - d * b_perp)) / nb2
+    dnu = -(d * aG + beta * dd) / nA
+    Kp = dnu * mom.A + dd * B + d * G
+    return Linearization(nu, d, dnu, dd, K, Kp, s0 / s1)
 
 
 def estimate_two_param(
@@ -192,8 +212,8 @@ def newton_fit(mom: DataMoments, alpha0: float) -> EstimateResult:
                 f"<K', K'> = {denom:.3e} at alpha={alpha}; cannot update"
             )
         step = float(lin.Kp @ (U - lin.K)) / denom
-        step = float(np.clip(step, -STEP_CLAMP, STEP_CLAMP))
-        new_alpha = float(np.clip(alpha + step, 1.0 + 1e-6, 2.0))
+        step = min(max(step, -STEP_CLAMP), STEP_CLAMP)
+        new_alpha = min(max(alpha + step, 1.0 + 1e-6), 2.0)
         if abs(new_alpha - alpha) < ALPHA_TOL:
             if abs(step) < ALPHA_TOL:
                 converged = True

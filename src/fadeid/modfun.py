@@ -113,6 +113,15 @@ def build_family(N: int, b: int) -> ModulatingFamily:
     return ModulatingFamily(N, b, tuple(powers), T)
 
 
+def column_factor(A: np.ndarray, C: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
+    """A's factor for the Stage-1 rows nu*A + d*B = C: (||A||, a = A/||A||,
+    a.C, C - a(a.C)).  A zero A is kept as a = A, with no division."""
+    norm = float(np.sqrt(A @ A))
+    a = A / norm if norm else A
+    aC = float(a @ C)
+    return norm, a, aC, C - aC * a
+
+
 def snap_node(L1: float, span: float, M: int) -> int:
     """The index j of the node nearest L1 on M uniform points spanning
     [0, span]; [0, x_j] must hold at least 3 points, so 2 <= j < M."""
@@ -144,8 +153,8 @@ class GridBasis:
 
 class DataMoments:
     """The basis's family integrated against c = c_noisy and rhs = dcdt_noisy - r,
-    which must be sampled at the basis's nodes (else ValueError): A and C, and
-    B(alpha), G(alpha) on demand.  The weights w_j c(L1 - x_j), the sums s_c and
+    which must be sampled at the basis's nodes (else ValueError): A, C and A's
+    factor (:func:`column_factor`), and B(alpha), G(alpha) on demand.  The weights w_j c(L1 - x_j), the sums s_c and
     s_r and the basis serve every family with the same b and a degree up to the
     basis's: :meth:`lift` returns such a family's moments, sharing them and the
     per-alpha memo of the grid contraction."""
@@ -168,10 +177,10 @@ class DataMoments:
         self._set_family(basis.fam)
 
     def _set_family(self, fam: ModulatingFamily) -> None:
-        """Set A, C and the fractional tables to fam's, for fam with this
-        block's b and a degree D_N = D - k <= D.  E lifts the basis sums to
-        degree D_N by degree elevation (module docstring); for the block's
-        own family (k = 0) it is the identity, and exact."""
+        """Set A, C, A's factor and the fractional tables to fam's, for fam
+        with this block's b and a degree D_N = D - k <= D.  E lifts the basis
+        sums to degree D_N by degree elevation (module docstring); for the
+        block's own family (k = 0) it is the identity, and exact."""
         own, L1 = self.basis.fam, self.basis.L1
         k = own.degree - fam.degree
         if fam.b != own.b or k < 0:
@@ -186,6 +195,7 @@ class DataMoments:
         row = a - fam.b
         self.A = (-a * s_c[row - 1] + (e - a) * s_c[row] + e * s_c[row + 1]) / L1
         self.C = s_r[row]
+        self.factor = column_factor(self.A, self.C)
         self.p = np.arange(fam.b + 1, fam.degree + 1, dtype=float)
         self.T = fam.table
         self._lift = E[1:, 1:]

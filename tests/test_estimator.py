@@ -1,9 +1,11 @@
 import re
+import warnings
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from fadeid import estimator
+from fadeid.modfun import column_factor
 from fadeid.synthdata import TrueModel, synthesize
 from fadeid.estimator import (
     EstimatorConfig,
@@ -30,13 +32,20 @@ def cfg3():
     return EstimatorConfig(L1=9.0, N=3)
 
 
+@pytest.fixture(scope="module", params=[0.0, 0.02], ids=["noise-free", "2pct"])
+def table1_31501(request):
+    return synthesize(TABLE1, 31501, noise_level=request.param, seed=0)
+
+
 class Columns:
-    """Hand-made Stage-1 columns in place of a DataMoments: A, C and a
-    fixed (B, G) returned at every alpha."""
+    """Hand-made Stage-1 columns in place of a DataMoments: A, C, A's factor
+    made by DataMoments' own column_factor, and a fixed (B, G) returned at
+    every alpha."""
 
     def __init__(self, A, B, C, G=None):
         self.A, self.B, self.C = (np.asarray(v, dtype=float) for v in (A, B, C))
         self.G = np.zeros_like(self.B) if G is None else np.asarray(G, dtype=float)
+        self.factor = column_factor(self.A, self.C)
 
     def fractional_columns(self, alpha):
         return self.B, self.G
@@ -88,6 +97,32 @@ class TestLinearizeOnColumns:
         with pytest.raises(RankDeficientError):
             linearize(Columns(z, z, z), 1.8)
 
+    @pytest.mark.parametrize("A,B", [
+        ([0.0, 0.0, 0.0], [1.0, 2.0, 3.0]),   # zero measurements: A = 0
+        ([1.0, 2.0, 3.0], [-2.0, -4.0, -6.0]),  # A parallel to B
+        ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),   # the all-zero system
+    ], ids=["zero-A", "parallel", "all-zero"])
+    def test_rank_deficient_without_warning(self, A, B):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficientError, match="rank-deficient"):
+                linearize(Columns(A, B, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]), 1.8)
+
+    @pytest.mark.parametrize("A", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], ids=["a-axis", "zero-A"])
+    @pytest.mark.parametrize("B,G", [
+        ([0.0, 1.0, np.inf], [0.0, 0.0, 0.0]),
+        ([0.0, 1.0, -np.inf], [1.0, 2.0, 3.0]),
+        ([0.0, np.nan, 1.0], [0.0, 0.0, 0.0]),
+        ([0.0, 1.0, 0.0], [0.0, 0.0, np.inf]),
+        ([0.0, 1.0, 0.0], [0.0, np.nan, 0.0]),
+    ])
+    def test_non_finite_where_a_vanishes_rejected(self, A, B, G):
+        # a.B and a.G carry the check: 0*inf is NaN, and raises no warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite fractional column"):
+                linearize(Columns(A, B, [1.0, 2.0, 3.0], G), 1.8)
+
     def test_cond_matches_numpy(self, clean_13501):
         mom = measurement_moments(clean_13501, EstimatorConfig(L1=9.0, N=5))
         B, _ = mom.fractional_columns(1.6)
@@ -132,6 +167,19 @@ class TestLinearizeOnMoments:
         permuted = Columns(mom.A[perm], B[perm], mom.C[perm], G[perm])
         assert linearize(permuted, 1.8)[:2] == pytest.approx(lin[:2], rel=1e-12)
 
+    def test_stage1_matches_numpy(self, table1_31501):
+        # one Gram-Schmidt step against A's factor, against numpy's SVD-based
+        # solve and condition number, down to L1 = 0.01 and up to cond ~ 1e4
+        for L1 in (9.0, 5.0, 1.0, 0.05, 0.01):
+            for N in (3, 7, 11, 20):
+                mom = measurement_moments(table1_31501, EstimatorConfig(L1=L1, N=N))
+                for alpha in (1.01, 1.5, 1.8, 2.0):
+                    lin = linearize(mom, alpha)
+                    AB = np.column_stack([mom.A, mom.fractional_columns(alpha)[0]])
+                    ref = [*np.linalg.lstsq(AB, mom.C, rcond=None)[0], np.linalg.cond(AB)]
+                    np.testing.assert_allclose([lin.nu, lin.d, lin.cond], ref, rtol=1e-12,
+                                               err_msg=f"L1={L1}, N={N}, alpha={alpha}")
+
     def test_convergence_rate_in_grid(self, cfg3):
         errs = []
         for M in (13501, 27001):
@@ -145,12 +193,17 @@ class TestLinearizeOnMoments:
 
 
 class TestProp1:
-    """The derivative system [A B] (dnu, dd) = -d*G, solved by linearize."""
+    """The derivative system [A B] (dnu, dd) = -d*G plus the residual term
+    of variable projection, solved by linearize."""
 
     def test_derivative_solve_matches_lstsq(self, clean_13501, cfg3):
         lin, mom = fit(clean_13501, cfg3, 1.75)
         B, G = mom.fractional_columns(1.75)
-        ref = np.linalg.lstsq(np.column_stack([mom.A, B]), -lin.d * G, rcond=None)[0]
+        AB = np.column_stack([mom.A, B])
+        # d(nu, d)/dalpha of the least-squares fit, with dAB/dalpha = [0 G]:
+        # (AB^T AB)^-1 ((0, G.r) - AB^T (d G)), r = C - K
+        ref = (np.linalg.lstsq(AB, -lin.d * G, rcond=None)[0]
+               + np.linalg.solve(AB.T @ AB, [0.0, G @ (mom.C - lin.K)]))
         np.testing.assert_allclose([lin.dnu, lin.dd], ref, rtol=1e-10)
 
     def test_zero_dispersion_gives_zero_solution(self, clean_13501, cfg3):
@@ -195,10 +248,9 @@ class TestGradientKprime:
     @pytest.mark.parametrize(
         "alpha,tol",
         [
-            # at the optimum the fit residual vanishes and the analytic
-            # gradient is exact; away from it the formula drops the
-            # residual-coupling term of the normal equations, so only a
-            # looser agreement is expected
+            # K' is dK/dalpha exactly, residual term included, at and away
+            # from the optimum; test_exact_against_central_difference holds
+            # it to 1e-7 with a smaller step
             (1.8, 1e-5),
             (1.7, 1e-2),
         ],
@@ -208,6 +260,20 @@ class TestGradientKprime:
         mom = measurement_moments(clean_13501, cfg3)
         fd = (linearize(mom, alpha + h).K - linearize(mom, alpha - h).K) / (2 * h)
         assert np.abs(linearize(mom, alpha).Kp - fd).max() <= tol * np.abs(fd).max()
+
+    @pytest.mark.parametrize("b", [2, 3])
+    @pytest.mark.parametrize("noise", [0.0, 0.02])
+    def test_exact_against_central_difference(self, b, noise):
+        # K', dnu and dd against central differences of K, nu and d; before
+        # the residual term of variable projection K' missed them by ~1e-3
+        ms = synthesize(TABLE1, 1351, noise_level=noise, seed=0)
+        mom = measurement_moments(ms, EstimatorConfig(L1=9.0, N=3, b=b))
+        alpha, h = 1.75, 1e-5
+        lin, lin_p, lin_m = (linearize(mom, a) for a in (alpha, alpha + h, alpha - h))
+        fd = (lin_p.K - lin_m.K) / (2 * h)
+        assert np.abs(lin.Kp - fd).max() <= 1e-7 * np.abs(fd).max()
+        for got, p, m in ((lin.dnu, lin_p.nu, lin_m.nu), (lin.dd, lin_p.d, lin_m.d)):
+            assert got == pytest.approx((p - m) / (2 * h), rel=1e-7)
 
     def test_zero_when_all_derivative_inputs_vanish(self, clean_13501, cfg3):
         mom = measurement_moments(clean_13501, cfg3)
