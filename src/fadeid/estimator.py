@@ -200,7 +200,8 @@ def newton_fit(mom: DataMoments, alpha0: float) -> EstimateResult:
 
     for k in range(MAX_ITER + 1):
         lin = linearize(mom, alpha)
-        J = float(np.sum((lin.K - U) ** 2))
+        r = U - lin.K
+        J = float(r @ r)
         history.append(IterationRecord(alpha, J, lin.nu, lin.d))
         if k == MAX_ITER:
             message = f"max_iter={MAX_ITER} reached"
@@ -211,7 +212,7 @@ def newton_fit(mom: DataMoments, alpha0: float) -> EstimateResult:
             raise GradientDegenerateError(
                 f"<K', K'> = {denom:.3e} at alpha={alpha}; cannot update"
             )
-        step = float(lin.Kp @ (U - lin.K)) / denom
+        step = float(lin.Kp @ r) / denom
         step = min(max(step, -STEP_CLAMP), STEP_CLAMP)
         new_alpha = min(max(alpha + step, 1.0 + 1e-6), 2.0)
         if abs(new_alpha - alpha) < ALPHA_TOL:

@@ -154,10 +154,11 @@ class GridBasis:
 class DataMoments:
     """The basis's family integrated against c = c_noisy and rhs = dcdt_noisy - r,
     which must be sampled at the basis's nodes (else ValueError): A, C and A's
-    factor (:func:`column_factor`), and B(alpha), G(alpha) on demand.  The weights w_j c(L1 - x_j), the sums s_c and
-    s_r and the basis serve every family with the same b and a degree up to the
-    basis's: :meth:`lift` returns such a family's moments, sharing them and the
-    per-alpha memo of the grid contraction."""
+    factor (:func:`column_factor`), and B(alpha), G(alpha) on demand.  The
+    weights w_j c(L1 - x_j), the sums s_c and s_r and the basis serve every
+    family with the same b and a degree up to the basis's: :meth:`lift`
+    returns such a family's moments, sharing them and the per-alpha memo of
+    the grid contraction."""
 
     def __init__(self, ms: MeasurementSet, basis: GridBasis):
         x, M = basis.x, len(basis.x)
