@@ -264,8 +264,8 @@ class TestGradientKprime:
     @pytest.mark.parametrize("b", [2, 3])
     @pytest.mark.parametrize("noise", [0.0, 0.02])
     def test_exact_against_central_difference(self, b, noise):
-        # K', dnu and dd against central differences of K, nu and d; before
-        # the residual term of variable projection K' missed them by ~1e-3
+        # K', dnu and dd against central differences of K, nu and d; without
+        # the residual term of variable projection (Kaufman's K') the gap is ~1e-3
         ms = synthesize(TABLE1, 1351, noise_level=noise, seed=0)
         mom = measurement_moments(ms, EstimatorConfig(L1=9.0, N=3, b=b))
         alpha, h = 1.75, 1e-5
