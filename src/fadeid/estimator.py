@@ -41,7 +41,7 @@ Kaufman's simplification (BIT 15, 1975) leaves that term out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, isfinite, sqrt
+from math import hypot, isfinite
 from typing import NamedTuple
 
 import numpy as np
@@ -132,8 +132,11 @@ def linearize(mom: DataMoments, alpha: float) -> Linearization:
     Differentiating the fit in alpha (A and C are alpha-free, dB/dalpha = G)
     gives R^T R (dnu, dd) = -d [A B]^T G + (0, G.r) with r = C - K: the
     derivative system of Proposition 1 plus the residual term of variable
-    projection, so K' = dnu*A + dd*B + d*G is exactly dK/dalpha.  A non-finite
-    entry of B or G makes a.B or a.G non-finite (0*inf is NaN): ValueError.
+    projection, so K' = dnu*A + dd*B + d*G is exactly dK/dalpha.  Norms are
+    scale-safe and each 1/||b_perp||^2 is two divisions by ||b_perp||, so
+    columns of any common scale in the float range neither under- nor overflow.
+    A non-finite entry of B or G makes a.B or a.G non-finite (0*inf is NaN):
+    ValueError.
     """
     B, G = mom.fractional_columns(alpha)
     nA, a, aC, c_perp = mom.factor
@@ -142,18 +145,17 @@ def linearize(mom: DataMoments, alpha: float) -> Linearization:
     if not (isfinite(beta) and isfinite(aG)):
         raise ValueError(f"non-finite fractional column at alpha={alpha}")
     b_perp = B - beta * a
-    nb2 = float(b_perp @ b_perp)
-    nb = sqrt(nb2)
+    nb = hypot(*b_perp.tolist())
     s0 = (hypot(nA + nb, beta) + hypot(nA - nb, beta)) / 2  # singular values of R
-    s1 = nA * nb / s0 if s0 else 0.0
+    s1 = nA * (nb / s0) if s0 else 0.0
     if s1 <= 1e-12 * s0:
         raise RankDeficientError(
             f"system numerically rank-deficient (singular values {s0:.3e}, {s1:.3e})"
         )
-    d = float(b_perp @ c_perp) / nb2
+    d = float((b_perp / nb) @ c_perp) / nb
     nu = (aC - beta * d) / nA
     K = nu * mom.A + d * B
-    dd = float(G @ (mom.C - K - d * b_perp)) / nb2
+    dd = float(G @ ((mom.C - K - d * b_perp) / nb)) / nb
     dnu = -(d * aG + beta * dd) / nA
     Kp = dnu * mom.A + dd * B + d * G
     return Linearization(nu, d, dnu, dd, K, Kp, s0 / s1)

@@ -148,13 +148,20 @@ def add_noise(ms: MeasurementSet, level: float, seed: int) -> MeasurementSet:
 
 
 CSV_HEADER = ["x", "c", "dcdt", "r", "c_noisy", "dcdt_noisy"]
+CSV_BLOCK_ROWS = 1024  # rows per formatted write; bounds the temporary string
 
 
 def to_csv(ms: MeasurementSet, path) -> None:
-    """Write one row per grid point at full double precision."""
+    """Write the header, then one row per grid point at full double precision
+    ("%.17g", CRLF line ends), the bytes np.savetxt writes with that format;
+    one % formats each block of CSV_BLOCK_ROWS rows."""
     cols = np.column_stack([ms.x, ms.c, ms.dcdt, ms.r, ms.c_noisy, ms.dcdt_noisy])
-    np.savetxt(path, cols, fmt="%.17g", delimiter=",", newline="\r\n",
-               header=",".join(CSV_HEADER), comments="")
+    row = ",".join(["%.17g"] * len(CSV_HEADER)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(CSV_HEADER) + "\r\n")
+        for start in range(0, len(cols), CSV_BLOCK_ROWS):
+            block = cols[start:start + CSV_BLOCK_ROWS]
+            fh.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def from_csv(path) -> MeasurementSet:

@@ -108,6 +108,15 @@ class TestLinearizeOnColumns:
             with pytest.raises(RankDeficientError, match="rank-deficient"):
                 linearize(Columns(A, B, [1.0, 2.0, 3.0], [1.0, 1.0, 1.0]), 1.8)
 
+    @pytest.mark.parametrize("s", [1e-300, 1e-160, 1.0, 1e160, 1e300])
+    def test_any_common_scale(self, s):
+        # ||A||^2 or ||b_perp||^2 formed as dot products under- or overflows here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lin = linearize(Columns([s, 0, 0], [0, s, 0], [s, 2 * s, 3 * s], [0, 0, s]), 1.8)
+        got = (lin.nu, lin.d, lin.dnu, lin.dd, lin.cond)
+        assert got == pytest.approx((1.0, 2.0, 0.0, 3.0, 1.0), rel=1e-15, abs=1e-15)
+
     @pytest.mark.parametrize("A", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], ids=["a-axis", "zero-A"])
     @pytest.mark.parametrize("B,G", [
         ([0.0, 1.0, np.inf], [0.0, 0.0, 0.0]),

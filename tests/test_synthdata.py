@@ -1,6 +1,7 @@
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from scipy.special import rgamma
 
 from fadeid.synthdata import (
     TrueModel,
+    CSV_HEADER,
     MeasurementSet,
     exact_solution,
     source_term,
@@ -238,6 +240,26 @@ class TestCsvRoundTrip:
         back = from_csv(path)
         for name in ("x", "c", "dcdt", "r", "c_noisy", "dcdt_noisy"):
             assert np.array_equal(getattr(ms, name), getattr(back, name))
+
+    @pytest.mark.parametrize("M", [1, 1023, 1024, 1025, 3501])
+    def test_bytes_match_savetxt(self, tmp_path, M):
+        # the clean channels, which no check reads, carry the hardest values
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -1.7976931348623157e308]
+        rng = np.random.default_rng(M)
+        cols = dict(zip(CSV_HEADER, [np.linspace(0.0, 9.0, M), np.resize(special, M),
+                                     np.resize(special[::-1], M), *rng.standard_normal((3, M))]))
+        ms = MeasurementSet(**cols) if M >= 3 else SimpleNamespace(**cols)
+        path, ref = tmp_path / "ms.csv", tmp_path / "ref.csv"
+        to_csv(ms, path)
+        np.savetxt(ref, np.column_stack(list(cols.values())), fmt="%.17g", delimiter=",",
+                   newline="\r\n", header=",".join(CSV_HEADER), comments="")
+        assert path.read_bytes() == ref.read_bytes()
+        if M >= 3:
+            back = from_csv(path)
+            for name, want in cols.items():
+                got = getattr(back, name)
+                assert np.array_equal(got, want, equal_nan=True)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
 
     def test_header(self, tmp_path):
         ms = synthesize(CANONICAL, 11)
