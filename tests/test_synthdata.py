@@ -244,7 +244,8 @@ class TestCsvRoundTrip:
     @pytest.mark.parametrize("M", [1, 1023, 1024, 1025, 3501])
     def test_bytes_match_savetxt(self, tmp_path, M):
         # the clean channels, which no check reads, carry the hardest values
-        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, -1.7976931348623157e308]
+        special = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1.7976931348623157e308,
+                   -1.7976931348623157e308]
         rng = np.random.default_rng(M)
         cols = dict(zip(CSV_HEADER, [np.linspace(0.0, 9.0, M), np.resize(special, M),
                                      np.resize(special[::-1], M), *rng.standard_normal((3, M))]))
