@@ -41,7 +41,7 @@ Kaufman's simplification (BIT 15, 1975) leaves that term out.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import hypot, isfinite
+from math import frexp, hypot, isfinite, ldexp, sqrt
 from typing import NamedTuple
 
 import numpy as np
@@ -132,9 +132,11 @@ def linearize(mom: DataMoments, alpha: float) -> Linearization:
     Differentiating the fit in alpha (A and C are alpha-free, dB/dalpha = G)
     gives R^T R (dnu, dd) = -d [A B]^T G + (0, G.r) with r = C - K: the
     derivative system of Proposition 1 plus the residual term of variable
-    projection, so K' = dnu*A + dd*B + d*G is exactly dK/dalpha.  Norms are
-    scale-safe and each 1/||b_perp||^2 is two divisions by ||b_perp||, so
-    columns of any common scale in the float range neither under- nor overflow.
+    projection, so K' = dnu*A + dd*B + d*G is exactly dK/dalpha.  The dot
+    products are taken on b_perp and the residual divided by 2^e, with ||A||
+    / 2^e in [1/2, 1): the scaling is exact, so columns of any common scale
+    in the float range neither under- nor overflow, and the results have the
+    bits of the unscaled formulas wherever those do neither.
     A non-finite entry of B or G makes a.B or a.G non-finite (0*inf is NaN):
     ValueError.
     """
@@ -144,18 +146,21 @@ def linearize(mom: DataMoments, alpha: float) -> Linearization:
         beta, aG = float(a @ B), float(a @ G)
     if not (isfinite(beta) and isfinite(aG)):
         raise ValueError(f"non-finite fractional column at alpha={alpha}")
-    b_perp = B - beta * a
-    nb = hypot(*b_perp.tolist())
-    s0 = (hypot(nA + nb, beta) + hypot(nA - nb, beta)) / 2  # singular values of R
-    s1 = nA * (nb / s0) if s0 else 0.0
+    e = frexp(nA)[1]  # every vector and scalar below is divided by 2^e, exactly
+    b = np.ldexp(B - beta * a, -e)  # b_perp / 2^e
+    nb2 = float(b @ b)
+    nA_e, beta_e, nb = ldexp(nA, -e), ldexp(beta, -e), sqrt(nb2)
+    s0 = (hypot(nA_e + nb, beta_e) + hypot(nA_e - nb, beta_e)) / 2  # singular values of R / 2^e
+    s1 = nA_e * nb / s0 if s0 else 0.0
     if s1 <= 1e-12 * s0:
         raise RankDeficientError(
-            f"system numerically rank-deficient (singular values {s0:.3e}, {s1:.3e})"
+            f"system numerically rank-deficient (singular values {ldexp(s0, e):.3e}, "
+            f"{ldexp(s1, e):.3e})"
         )
-    d = float((b_perp / nb) @ c_perp) / nb
+    d = ldexp(float(b @ c_perp) / nb2, -e)
     nu = (aC - beta * d) / nA
     K = nu * mom.A + d * B
-    dd = float(G @ ((mom.C - K - d * b_perp) / nb)) / nb
+    dd = ldexp(float(G @ (np.ldexp(mom.C - K, -e) - d * b)) / nb2, -e)
     dnu = -(d * aG + beta * dd) / nA
     Kp = dnu * mom.A + dd * B + d * G
     return Linearization(nu, d, dnu, dd, K, Kp, s0 / s1)

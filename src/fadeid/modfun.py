@@ -56,12 +56,9 @@ families of a sweep share the block's contraction at every alpha they have
 in common.  The block's own family is the identity lift (k = 0), exact in
 floating point, so every family's moments take the same path.
 
-Each grid contraction (:func:`contract`) is one BLAS product of the two
-weight rows per block of at most 15 basis rows, since more rows in one
-product take a slower OpenBLAS kernel.  At M = 31500 it takes 0.05-0.07 ms
-at N = 3 (7 rows), 0.17-0.20 ms at N = 11 (15 rows) and 0.35-0.36 ms at
-N = 20 (24 rows, two blocks), against 0.54-0.59 ms for those 24 rows in one
-product (medians of 200 calls; 2 CPUs, scipy-openblas 0.3.31).
+Each grid contraction is one BLAS matrix product, 0.08 ms at M = 31500,
+N = 3 and 0.16 ms at N = 11; with the two weight rows, 0.19 and 0.23 ms
+(medians of 200 alphas; 2 CPUs, OpenBLAS 0.3.31).
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ from __future__ import annotations
 from copy import copy
 from dataclasses import dataclass, field
 from functools import lru_cache
-from math import comb, hypot, isfinite, perm
+from math import comb, frexp, isfinite, ldexp, perm, sqrt
 from numbers import Integral
 
 import numpy as np
@@ -118,27 +115,16 @@ def build_family(N: int, b: int) -> ModulatingFamily:
 
 def column_factor(A: np.ndarray, C: np.ndarray) -> tuple[float, np.ndarray, float, np.ndarray]:
     """A's factor for the Stage-1 rows nu*A + d*B = C: (||A||, a = A/||A||,
-    a.C, C - a(a.C)).  ||A|| is scale-safe (no A.A to under- or overflow);
-    a zero A is kept as a = A, with no division."""
-    norm = hypot(*A.tolist())
+    a.C, C - a(a.C)).  ||A|| is taken from A / 2^e, max|A| / 2^e in [1/2, 1):
+    the scaling is exact, so A.A neither under- nor overflows and the norm has
+    the bits of sqrt(A.A) wherever that does neither.  A zero A is kept as
+    a = A, with no division."""
+    e = frexp(float(np.abs(A).max()))[1]
+    As = np.ldexp(A, -e)
+    norm = ldexp(sqrt(float(As @ As)), e)
     a = A / norm if norm else A
     aC = float(a @ C)
     return norm, a, aC, C - aC * a
-
-
-# Basis rows per BLAS product in :func:`contract`.  On scipy-openblas 0.3.31
-# (2 CPUs), 2 weight rows against 16 or more basis rows of M = 31500 take a
-# slower kernel: 315-430 us at 16 rows and 549-593 us at 20-24, against
-# 170-181 us at 15, and 234-289 us for 16-24 rows in blocks of 15.
-CONTRACT_ROWS = 15
-
-
-def contract(W: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """W @ X.T, one product per block of at most CONTRACT_ROWS rows of X: the
-    same bits as W @ X.T when X has no more rows than that."""
-    if len(X) <= CONTRACT_ROWS:
-        return W @ X.T
-    return np.hstack([W @ X[i:i + CONTRACT_ROWS].T for i in range(0, len(X), CONTRACT_ROWS)])
 
 
 def snap_node(L1: float, span: float, M: int) -> int:
@@ -189,7 +175,7 @@ class DataMoments:
         # w_j c(L1 - x_j) and w_j rhs(L1 - x_j) for j >= 1
         W = (x[1] - x[0]) * np.stack([c[-2::-1], rhs[-2::-1]])
         W[:, -1] *= 0.5
-        self.s_c, self.s_r = contract(W, basis.X)  # over p = b..D
+        self.s_c, self.s_r = W @ basis.X.T  # over p = b..D
         self.w = W[0].copy()
         self.basis = basis
         self._weights = W  # scratch for _grid_moments
@@ -228,15 +214,15 @@ class DataMoments:
         return view
 
     def _grid_moments(self, alpha: float) -> np.ndarray:
-        """(m, l) of the module docstring over p = b+1..D: one :func:`contract`
-        of the weight rows with the basis, made once per exact alpha and kept."""
+        """(m, l) of the module docstring over p = b+1..D: one BLAS product,
+        made once per exact alpha and kept."""
         ml = self._memo.get(alpha)
         if ml is None:
             W, log_x = self._weights, self.basis.log_x
             np.exp(np.multiply(log_x, -alpha, out=W[0]), out=W[0])  # x^-alpha
             W[0] *= self.w
             np.multiply(W[0], log_x, out=W[1])
-            ml = self._memo[alpha] = contract(W, self.basis.X[1:])
+            ml = self._memo[alpha] = W @ self.basis.X[1:].T
             ml.flags.writeable = False
         return ml
 

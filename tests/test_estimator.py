@@ -117,6 +117,38 @@ class TestLinearizeOnColumns:
         got = (lin.nu, lin.d, lin.dnu, lin.dd, lin.cond)
         assert got == pytest.approx((1.0, 2.0, 0.0, 3.0, 1.0), rel=1e-15, abs=1e-15)
 
+    @staticmethod
+    def random_columns(seed):
+        A, B, C, G = np.random.default_rng(seed).standard_normal((4, 7))
+        return A, B, 0.3 * A + 1.7 * B + 0.01 * C, G
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_bits_of_the_plain_formulas(self, seed):
+        # at ordinary scale, the scaled arithmetic rounds exactly as the
+        # unscaled dot-product formulas do
+        A, B, C, G = self.random_columns(seed)
+        nA = np.sqrt(A @ A)
+        a = A / nA
+        aC, beta, aG = a @ C, a @ B, a @ G
+        b_perp, c_perp = B - beta * a, C - aC * a
+        nb2 = b_perp @ b_perp
+        d = (b_perp @ c_perp) / nb2
+        nu = (aC - beta * d) / nA
+        dd = G @ (C - (nu * A + d * B) - d * b_perp) / nb2
+        dnu = -(d * aG + beta * dd) / nA
+        lin = linearize(Columns(A, B, C, G), 1.8)
+        assert (lin.nu, lin.d, lin.dnu, lin.dd) == (nu, d, dnu, dd)
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_power_of_two_scale_is_exact(self, k):
+        A, B, C, G = self.random_columns(0)
+        lin = linearize(Columns(A, B, C, G), 1.8)
+        big = linearize(Columns(*(np.ldexp(v, k) for v in (A, B, C, G))), 1.8)
+        assert (big.nu, big.d, big.dnu, big.dd, big.cond) == (
+            lin.nu, lin.d, lin.dnu, lin.dd, lin.cond)
+        assert np.array_equal(big.K, np.ldexp(lin.K, k))
+        assert np.array_equal(big.Kp, np.ldexp(lin.Kp, k))
+
     @pytest.mark.parametrize("A", [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], ids=["a-axis", "zero-A"])
     @pytest.mark.parametrize("B,G", [
         ([0.0, 1.0, np.inf], [0.0, 0.0, 0.0]),

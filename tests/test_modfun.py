@@ -6,7 +6,7 @@ import pytest
 from numpy.polynomial import Polynomial
 from scipy.integrate import trapezoid
 
-from fadeid.modfun import CONTRACT_ROWS, DataMoments, GridBasis, build_family, contract
+from fadeid.modfun import DataMoments, GridBasis, build_family
 from fadeid.selftest import members, sampled
 from fadeid.synthdata import CSV_HEADER, MeasurementSet, TrueModel, synthesize
 
@@ -263,32 +263,6 @@ class TestFractionalIntegrationByParts:
             left = trapezoid(member(Polynomial([L1, -1.0]))(x) * df, dx=dx)
             right = trapezoid(rl_reference(member, alpha, x)[0] * f(L1 - x), dx=dx)
             assert abs(left - right) <= 1e-4 * abs(right)
-
-
-class TestContract:
-    """contract(W, X) is W @ X.T, made in blocks of at most 15 rows of X."""
-
-    @staticmethod
-    def operands(rows):
-        # two weight rows of mixed sign against a family's basis rows, M = 31500
-        ms = synthesize(TABLE1, 31501, noise_level=0.02, seed=0)
-        X = GridBasis(ms.x, 9.0, build_family(rows - 5, 3)).X
-        W = np.stack([ms.c_noisy[-2::-1], ms.dcdt_noisy[-2::-1] - ms.r[-2::-1]])
-        return W, X
-
-    @pytest.mark.parametrize("rows", [8, 14, 15])
-    def test_one_block_is_the_plain_product(self, rows):
-        W, X = self.operands(rows)
-        assert len(X) == rows <= CONTRACT_ROWS
-        assert np.array_equal(contract(W, X), W @ X.T)
-
-    @pytest.mark.parametrize("rows", [16, 20, 25])
-    def test_blocks_match_long_double(self, rows):
-        W, X = self.operands(rows)
-        ref = W.astype(np.longdouble) @ X.T.astype(np.longdouble)
-        got = contract(W, X)
-        assert got.shape == (2, rows)
-        assert (abs(got - ref) <= 1e-14 * abs(ref).max(axis=0)).all()
 
 
 class TestGridBasis:
