@@ -146,7 +146,7 @@ def linearize(mom: DataMoments, alpha: float) -> Linearization:
         beta, aG = float(a @ B), float(a @ G)
     if not (isfinite(beta) and isfinite(aG)):
         raise ValueError(f"non-finite fractional column at alpha={alpha}")
-    e = frexp(nA)[1]  # every vector and scalar below is divided by 2^e, exactly
+    e = frexp(nA)[1]  # b, nb, s0, s1 and the *_e are those of the columns / 2^e
     b = np.ldexp(B - beta * a, -e)  # b_perp / 2^e
     nb2 = float(b @ b)
     nA_e, beta_e, nb = ldexp(nA, -e), ldexp(beta, -e), sqrt(nb2)
