@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass, asdict, replace, field
 from itertools import product
 from multiprocessing import Pipe, Process
-from numbers import Integral, Real
+from numbers import Integral
 from pathlib import Path
 
 import yaml
@@ -48,7 +48,7 @@ import yaml
 from . import __version__
 from .estimator import EstimatorConfig, linearize, newton_fit
 from .modfun import DataMoments, GridBasis, build_family, snap_node
-from .synthdata import TrueModel, add_noise, synthesize
+from .synthdata import TrueModel, add_noise, check_noise, synthesize
 
 MODES = ("two-param", "three-param")
 #: libyaml's safe loader and dumper where PyYAML was built with it
@@ -63,6 +63,8 @@ _POOL_CELL_POINTS = 2 * 5 * 31501
 
 @dataclass
 class ExperimentSpec:
+    """A sweep; each (noise level, seed) data set passes add_noise's check_noise."""
+
     truth: TrueModel = field(default_factory=TrueModel)
     estimator: EstimatorConfig = field(default_factory=EstimatorConfig)
     mode: str = "three-param"
@@ -77,19 +79,15 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         if self.truth.nu == 0:
             raise ValueError("truth.nu must be nonzero: errors are relative to nu")
         for name in ("noise_levels", "n_list", "L1_list", "seeds"):
             if not (isinstance(getattr(self, name), list) and getattr(self, name)):
                 raise ValueError(f"sweep list '{name}' must be a non-empty list")
-        for level in self.noise_levels:
-            if isinstance(level, bool) or not (
-                isinstance(level, Real) and math.isfinite(level) and level >= 0
-            ):
-                raise ValueError(f"noise levels must be finite and >= 0, got {level!r}")
-        for seed in self.seeds:
-            if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
-                raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
+        for level, seed in product(self.noise_levels, self.seeds):
+            check_noise(level, seed)
         for n, L1 in product(self.n_list, self.L1_list):
             replace(self.estimator, N=n, L1=L1)  # the estimator's own N and L1 rules
         if self.grid_points is None:

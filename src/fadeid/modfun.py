@@ -92,12 +92,12 @@ class ModulatingFamily:
 
 
 # typed: untyped, 3.0 == 3 would be a cache hit and skip the check below
-@lru_cache(maxsize=16, typed=True)
+@lru_cache(maxsize=None, typed=True)
 def build_family(N: int, b: int) -> ModulatingFamily:
     """Construct the N-member polynomial modulating family.
 
-    Cached: callers with the same (N, b) get the same family, so its table
-    is read-only.
+    Cached without bound, one family per (N, b) a process builds: callers
+    with the same (N, b) get the same family, so its table is read-only.
     """
     if not all(isinstance(v, Integral) and v >= 2 for v in (N, b)):
         raise ValueError(f"N and b must be integers >= 2, got N={N!r}, b={b!r}")

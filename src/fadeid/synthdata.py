@@ -16,8 +16,9 @@ touches it carries a vanishing modulating factor).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -125,18 +126,24 @@ def synthesize(
     return add_noise(MeasurementSet(x, c, dcdt, r, c, dcdt), noise_level, seed)
 
 
+def check_noise(level, seed) -> None:
+    """ValueError unless level is a finite real >= 0 and seed an integer >= 0;
+    a bool is neither (True would pass as 100 % noise or as seed 1)."""
+    if isinstance(level, bool) or not (isinstance(level, Real) and 0 <= level < math.inf):
+        raise ValueError(f"noise levels must be finite and >= 0, got {level!r}")
+    if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
+        raise ValueError(f"seeds must be integers >= 0, got {seed!r}")
+
+
 def add_noise(ms: MeasurementSet, level: float, seed: int) -> MeasurementSet:
     """Additive white Gaussian noise with sigma = level * RMS(clean signal).
 
     Applied independently to the concentration and flux channels from one
     seeded numpy PCG64 generator (concentration draws first).  level = 0
-    returns the input unchanged.  A boolean level, or a seed that is not an
-    integer >= 0 (None would draw unseeded noise), raises ValueError.
+    returns the input unchanged.  level and seed must pass :func:`check_noise`,
+    the rule a sweep spec checks each of its data sets by.
     """
-    if isinstance(level, bool) or not (math.isfinite(level) and level >= 0):
-        raise ValueError(f"noise level must be finite and non-negative, got {level!r}")
-    if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    check_noise(level, seed)
     if level == 0:
         return ms
     rng = np.random.default_rng(seed)
@@ -169,14 +176,11 @@ def from_csv(path) -> MeasurementSet:
         header = fh.readline().rstrip("\r\n").split(",")
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header}")
-        body = fh.tell()
-        # skip the lines loadtxt skips, empty once a '#' comment is cut, to find a row
-        while (line := fh.readline()) and not line.split("#", 1)[0].rstrip("\r\n"):
-            pass
-        if not line:
-            raise ValueError(f"{path}: CSV file has a header but no data rows")
-        fh.seek(body)
-        cols = np.loadtxt(fh, delimiter=",", ndmin=2).T
+        with warnings.catch_warnings():  # no rows is the ValueError below
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            cols = np.loadtxt(fh, delimiter=",", ndmin=2).T
+    if cols.size == 0:
+        raise ValueError(f"{path}: CSV file has a header but no data rows")
     if len(cols) != len(CSV_HEADER):
         raise ValueError(f"expected {len(CSV_HEADER)} columns, got {len(cols)}")
     return MeasurementSet(*cols)

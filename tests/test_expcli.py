@@ -282,6 +282,15 @@ class TestRun:
         assert [block.basis for block in blocks] == bases * 4
         assert [(b.fam.n_funcs, b.L1) for b in bases] == [(5, 9.0), (5, 5.0)]
 
+    def test_each_family_built_once_per_process(self):
+        # 20 values of N, more than a cache of 16 families holds across data sets
+        build_family.cache_clear()
+        spec = spec_from_dict({**FAST, "mode": "two-param", "n_list": list(range(3, 23)),
+                               "seeds": [0, 1, 2]})
+        rows = run(spec, workers=1)
+        assert len(rows) == 60 and all(r.converged and not r.error for r in rows)
+        assert build_family.cache_info().misses == 20
+
     @pytest.mark.parametrize("mode", ["two-param", "three-param"])
     def test_rows_match_fresh_synthesis(self, mode):
         spec = spec_from_dict({
@@ -864,11 +873,15 @@ class TestMain:
         ("estimator: {M: 301}\ntruth: {T: .nan}\n", "must be finite"),
         ("estimator: {M: 301}\ntruth: {nu: 0.0}\n", "relative to nu"),
         ("estimator: {M: 301, max_iter: 2.5}\n", "max_iter"),
+        ("output_dir: 5\n", "output_dir"),
+        ("output_dir: null\n", "output_dir"),
+        ("output_dir: [a, b]\n", "output_dir"),
     ], ids=["unknown-estimator-key", "unknown-top-level-key", "dx", "malformed", "missing",
             "top-level-list", "truth-not-mapping", "estimator-not-mapping", "seeds-not-list",
             "fractional-seed", "negative-seed", "fractional-N", "negative-L1",
             "L1-beyond-grid", "L1-below-node-2", "infinite-L", "nan-L", "nan-nu", "infinite-d",
-            "nan-T", "zero-nu", "fractional-max-iter"])
+            "nan-T", "zero-nu", "fractional-max-iter", "output-dir-number", "output-dir-null",
+            "output-dir-list"])
     def test_unusable_spec_file_is_usage_error(self, command, text, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"
         if text is not None:

@@ -161,14 +161,14 @@ class TestNoise:
     @pytest.mark.parametrize("seed", [None, -1, 2.5])
     def test_seed_not_an_integer_at_least_zero_rejected(self, level, seed):
         # None would draw unseeded noise; -1 and 2.5 would reach numpy's own errors
-        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        with pytest.raises(ValueError, match="seeds must be integers >= 0"):
             add_noise(synthesize(CANONICAL, 101), level, seed)
-        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        with pytest.raises(ValueError, match="seeds must be integers >= 0"):
             synthesize(CANONICAL, 101, level, seed)
 
     @pytest.mark.parametrize("level", [math.nan, math.inf, -0.1])
     def test_synthesize_rejects_invalid_level(self, level):
-        with pytest.raises(ValueError, match="noise level must be finite and non-negative"):
+        with pytest.raises(ValueError, match="noise levels must be finite and >= 0"):
             synthesize(CANONICAL, 101, noise_level=level)
 
 
