@@ -19,6 +19,7 @@ import math
 import warnings
 from dataclasses import dataclass, replace
 from numbers import Integral, Real
+from sys import float_info
 
 import numpy as np
 
@@ -127,9 +128,9 @@ def synthesize(
 
 
 def check_noise(level, seed) -> None:
-    """ValueError unless level is a finite real >= 0 and seed an integer >= 0;
-    a bool is neither (True would pass as 100 % noise or as seed 1)."""
-    if isinstance(level, bool) or not (isinstance(level, Real) and 0 <= level < math.inf):
+    """ValueError unless level is a real in [0, the largest double] and seed an
+    integer >= 0; a bool is neither (True would pass as 100 % noise or seed 1)."""
+    if isinstance(level, bool) or not (isinstance(level, Real) and 0 <= level <= float_info.max):
         raise ValueError(f"noise levels must be finite and >= 0, got {level!r}")
     if isinstance(seed, bool) or not (isinstance(seed, Integral) and seed >= 0):
         raise ValueError(f"seeds must be integers >= 0, got {seed!r}")

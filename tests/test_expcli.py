@@ -873,6 +873,7 @@ class TestMain:
         ("estimator: {M: 301}\ntruth: {T: .nan}\n", "must be finite"),
         ("estimator: {M: 301}\ntruth: {nu: 0.0}\n", "relative to nu"),
         ("estimator: {M: 301, max_iter: 2.5}\n", "max_iter"),
+        ("noise_levels: [1" + "0" * 400 + "]\n", "noise levels"),
         ("output_dir: 5\n", "output_dir"),
         ("output_dir: null\n", "output_dir"),
         ("output_dir: [a, b]\n", "output_dir"),
@@ -880,7 +881,7 @@ class TestMain:
             "top-level-list", "truth-not-mapping", "estimator-not-mapping", "seeds-not-list",
             "fractional-seed", "negative-seed", "fractional-N", "negative-L1",
             "L1-beyond-grid", "L1-below-node-2", "infinite-L", "nan-L", "nan-nu", "infinite-d",
-            "nan-T", "zero-nu", "fractional-max-iter", "output-dir-number", "output-dir-null",
+            "nan-T", "zero-nu", "fractional-max-iter", "huge-int-noise", "output-dir-number", "output-dir-null",
             "output-dir-list"])
     def test_unusable_spec_file_is_usage_error(self, command, text, key, tmp_path, capsys):
         cfg = tmp_path / "cfg.yaml"

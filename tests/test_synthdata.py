@@ -166,7 +166,7 @@ class TestNoise:
         with pytest.raises(ValueError, match="seeds must be integers >= 0"):
             synthesize(CANONICAL, 101, level, seed)
 
-    @pytest.mark.parametrize("level", [math.nan, math.inf, -0.1])
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -0.1, "0.02", 10**400])
     def test_synthesize_rejects_invalid_level(self, level):
         with pytest.raises(ValueError, match="noise levels must be finite and >= 0"):
             synthesize(CANONICAL, 101, noise_level=level)
